@@ -15,6 +15,13 @@ no further roots.
 
 sqrt(1 - x^2) is evaluated as sqrt((1-x)*(1+x)) to avoid cancellation near
 the endpoints.
+
+The sampled arc check needs no square root: on the unit circle
+|z^n - 1|^2 = 2 (1 - Re z^n) = 2 (1 - T_n(x)) with T_n the Chebyshev
+polynomial, which it evaluates on exact fixed-point integers by real-part
+doubling (T_2k = 2 T_k^2 - 1, T_2k+1 = 2 T_k T_k+1 - x) within
+4**(n.bit_length() + 1) units of 2**-(precision + 64); the derivation is in
+``_arc_exclusion_ok``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from dataclasses import dataclass, fields
 
 from .errors import (CertificateFailure, DomainViolation, InvalidN,
                      NonDescent, StepLimit)
-from .hpcomplex import HPComplex
 from .hpreal import HPReal
 from .solver import RootSet
 from .zeta import Zeta
@@ -180,15 +186,53 @@ def _reconstruction_ok(zeta: Zeta, xs, p: int, rootset: RootSet, tol: HPReal) ->
     return all(used)
 
 
+def _gap2_scaled(x: HPReal, n: int, frac: int) -> int:
+    """|z^n - 1|^2 = 2 (1 - T_n(x)) for z = x + i*sqrt(1-x^2), times 2**frac,
+    by the fixed-point doubling ladder; within 4**(n.bit_length() + 1) units
+    of the exact value for |x| <= 1 (derived in :func:`_arc_exclusion_ok`)."""
+    shift = x.exponent + frac
+    fx = x.mantissa << shift if shift >= 0 else x.mantissa >> -shift
+    if x.sign < 0:
+        fx = -fx
+    unit = 1 << frac
+    c0, c1 = unit, fx  # (T_k, T_k+1) from k = 0, one step per bit of n
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            c0, c1 = (c0 * c1 >> frac - 1) - fx, (c1 * c1 >> frac - 1) - unit
+        else:
+            c0, c1 = (c0 * c0 >> frac - 1) - unit, (c0 * c1 >> frac - 1) - fx
+    return 2 * (unit - c0)
+
+
 def _arc_exclusion_ok(zeta: Zeta, n: int) -> bool:
     """Sampled check that the open arcs over (a, 1 - 2**-20) and (-1, -a)
     contain no n-th root of unity: every grid point must keep |z^n - 1|
-    above the calibrated floor.  A sampled check, not a proof."""
+    above the calibrated floor.  A sampled check, not a proof.
+
+    The grid points x are accumulated in ``HPReal``.  For z = x + i*sqrt(1-x^2)
+    on the unit circle, |z^n - 1|^2 = 2 - 2 Re(z^n) = 2 (1 - T_n(x)) exactly,
+    with T_n the Chebyshev polynomial, so no square root or power of z is
+    needed.  T_n(x) is evaluated on integers scaled by 2**F, F = precision +
+    64, by the ladder over the bits of n (most significant first) that
+    carries the pair (T_k, T_k+1) to (T_2k, T_2k+1) or (T_2k+1, T_2k+2) with
+
+        T_2k = 2 T_k^2 - 1,    T_2k+1 = 2 T_k T_k+1 - x.
+
+    Error bound, with u = 2**-F: x enters with error below u (a floor for
+    |x| < 2**-64, exact otherwise), each doubled product is floored with
+    error below u, and as |T_k| <= 1 on [-1, 1] a step turns pair errors of
+    at most e into at most 4e + 2e^2 + 2u.  While e <= 2**-34 the e^2 term
+    adds a factor below 1 + 2**-33 per step, so after the L = n.bit_length()
+    steps e < 2 * 4**L * u, and 2 (1 - T_n(x)) is known to within
+    4**(L + 1) * u (2**-172 at n = 298 and precision 128).  The premise
+    e <= 2**-34 holds for every n < 2**30 at every precision >= 32.  A point
+    fails when its value is at most floor^2 plus that bound, so every point
+    that passes is above the floor in exact arithmetic.
+    """
     prec = zeta.precision
-    floor = HPReal.pow2(_EXCLUSION_FLOOR_EXP, prec)
-    floor2 = floor * floor
+    frac = prec + 64
+    limit = (1 << (frac + 2 * _EXCLUSION_FLOOR_EXP)) + (1 << 2 * (n.bit_length() + 1))
     one = HPReal.one(prec)
-    unity = HPComplex.one(prec)
     intervals = (
         (zeta.a, one - HPReal.pow2(-20, prec)),
         (-one, -zeta.a),
@@ -198,8 +242,7 @@ def _arc_exclusion_ok(zeta: Zeta, n: int) -> bool:
         x = lo
         for _ in range(_GRID_POINTS):
             x = x + step
-            z = HPComplex(x, _semicircle_height(x))
-            if (z.pow(n) - unity).abs2() <= floor2:
+            if _gap2_scaled(x, n, frac) <= limit:
                 return False
     return True
 

@@ -3,13 +3,52 @@
 Multiplication, conjugation, modulus and integer powers are the only
 primitives the construction needs; division is provided for the solver's
 Newton steps.  The modulus uses the square root, nothing else transcendental.
+
+Products, norms and powers run on the integer mantissas directly
+(:func:`_product`), with no intermediate ``HPReal`` objects.  Each partial
+product is rounded as ``HPReal.__mul__`` rounds it and each sum as ``HPReal``
+addition does, through the same raw helpers, so every result is bit-identical
+to the composed ``HPComplex(x*u - y*v, x*v + y*u)``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .hpreal import HPReal
+from .hpreal import HPReal, _add_raw, _round_raw
+
+
+def _product(xs, xm, xe, ys, ym, ye, us, um, ue, vs, vm, ve, prec):
+    """(x + iy)(u + iv) on raw (sign, mantissa, exponent) components.
+
+    Returns the six-tuple (re sign, mantissa, exponent, im sign, mantissa,
+    exponent) at `prec` bits.  A zero component has mantissa 0, so its
+    products round to the raw zero without a branch.
+    """
+    s1, m1, e1 = _round_raw(xs * us, xm * um, xe + ue, prec)
+    s2, m2, e2 = _round_raw(ys * vs, ym * vm, ye + ve, prec)
+    s3, m3, e3 = _round_raw(xs * vs, xm * vm, xe + ve, prec)
+    s4, m4, e4 = _round_raw(ys * us, ym * um, ye + ue, prec)
+    return (_add_raw(s1, m1, e1, -s2, m2, e2, prec)
+            + _add_raw(s3, m3, e3, s4, m4, e4, prec))
+
+
+def _square(xs, xm, xe, ys, ym, ye, prec):
+    """_product of (x + iy) with itself.  Both halves of x*y + y*x round to
+    the same prec-bit value, whose sum the addition doubles exactly, so the
+    imaginary part is that value with its exponent raised by one."""
+    s1, m1, e1 = _round_raw(xs * xs, xm * xm, 2 * xe, prec)
+    s2, m2, e2 = _round_raw(ys * ys, ym * ym, 2 * ye, prec)
+    s3, m3, e3 = _round_raw(xs * ys, xm * ym, xe + ye, prec)
+    return (_add_raw(s1, m1, e1, -s2, m2, e2, prec)
+            + ((s3, m3, e3 + 1) if s3 else (0, 0, 0)))
+
+
+def _from_raw(t, prec: int) -> "HPComplex":
+    out = object.__new__(HPComplex)
+    out.re = HPReal._raw(t[0], t[1], t[2], prec)
+    out.im = HPReal._raw(t[3], t[4], t[5], prec)
+    return out
 
 
 class HPComplex:
@@ -68,7 +107,11 @@ class HPComplex:
     def __mul__(self, other) -> "HPComplex":
         if isinstance(other, HPComplex):
             x, y, u, v = self.re, self.im, other.re, other.im
-            return HPComplex(x * u - y * v, x * v + y * u)
+            prec = max(x.precision, u.precision)
+            return _from_raw(_product(x.sign, x.mantissa, x.exponent,
+                                      y.sign, y.mantissa, y.exponent,
+                                      u.sign, u.mantissa, u.exponent,
+                                      v.sign, v.mantissa, v.exponent, prec), prec)
         if isinstance(other, (HPReal, int)):
             return HPComplex(self.re * other, self.im * other)
         return NotImplemented
@@ -80,16 +123,24 @@ class HPComplex:
             return HPComplex(self.re / other, self.im / other)
         if not isinstance(other, HPComplex):
             return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        x, y, u, v = self.re, self.im, other.re, other.im
-        return HPComplex((x * u + y * v) / d, (y * u - x * v) / d)
+        # z * conj(w) rounds x*u + y*v and y*u - x*v like the composed form
+        num = self * other.conj()
+        d = other.abs2()
+        return HPComplex(num.re / d, num.im / d)
 
     def conj(self) -> "HPComplex":
         return HPComplex(self.re, -self.im)
 
     def abs2(self) -> HPReal:
-        """|z|^2 without the square root."""
-        return self.re * self.re + self.im * self.im
+        """|z|^2 without the square root, rounded as re*re + im*im."""
+        x, y = self.re, self.im
+        prec = x.precision
+        s1, m1, e1 = _round_raw(x.sign * x.sign, x.mantissa * x.mantissa,
+                                2 * x.exponent, prec)
+        s2, m2, e2 = _round_raw(y.sign * y.sign, y.mantissa * y.mantissa,
+                                2 * y.exponent, prec)
+        s, m, e = _add_raw(s1, m1, e1, s2, m2, e2, prec)
+        return HPReal._raw(s, m, e, prec)
 
     def __abs__(self) -> HPReal:
         return self.abs2().sqrt()
@@ -98,15 +149,20 @@ class HPComplex:
         """z**k for k >= 0 by binary exponentiation; z**0 == 1 exactly."""
         if k < 0:
             raise ValueError("negative powers are not defined here; use conj for inverses on the unit circle")
-        result = HPComplex.one(self.precision)
-        base = self
-        while k:
+        prec = self.precision
+        if k == 0:
+            return HPComplex.one(prec)
+        x, y = self.re, self.im
+        base = (x.sign, x.mantissa, x.exponent, y.sign, y.mantissa, y.exponent)
+        # the first factor of the product is base itself: 1 * base is exact
+        result = None
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else _product(*result, *base, prec)
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return _from_raw(result, prec)
+            base = _square(*base, prec)
 
     # -- comparisons and conversions ------------------------------------------
 
@@ -124,22 +180,8 @@ class HPComplex:
         """Nearest machine complex; diagnostics only."""
         return complex(self.re.to_float(), self.im.to_float())
 
-    def distance(self, other: "HPComplex") -> HPReal:
-        return abs(self - other)
-
     def __repr__(self) -> str:
         return f"HPComplex({self.re.to_float():.17g}, {self.im.to_float():.17g})"
-
-
-def close_enough(a: HPComplex, b: HPComplex, tol: HPReal) -> bool:
-    """Explicit-tolerance proximity; the package never compares approximately
-    without a caller-supplied tolerance."""
-    return a.distance(b) <= tol
-
-
-def real_close(a: HPReal, b: HPReal, tol: HPReal) -> bool:
-    out = a - b
-    return abs(out) <= tol
 
 
 def lift_complex(z: complex, precision: int) -> HPComplex:

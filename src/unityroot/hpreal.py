@@ -415,34 +415,43 @@ class HPReal:
 # ---------------------------------------------------------------------------
 
 
-def _add(a: HPReal, b: HPReal, b_factor: int) -> HPReal:
-    prec = max(a.precision, b.precision)
-    if b.sign == 0:
-        return a if a.precision == prec else a.with_precision(prec)
-    if a.sign == 0:
-        out = b if b_factor > 0 else -b
-        return out if out.precision == prec else out.with_precision(prec)
-    top = max(a.exponent + a.mantissa.bit_length(),
-              b.exponent + b.mantissa.bit_length())
+def _add_raw(sa: int, ma: int, ea: int, sb: int, mb: int, eb: int, precision: int):
+    """Round the exact sum of two raw values to `precision` bits.
+
+    Each operand is a (sign, mantissa, exponent) triple with a mantissa of at
+    most `precision` bits (zero has sign and mantissa 0); returns the rounded
+    triple.  ``HPReal`` addition and the fused complex kernels in
+    :mod:`unityroot.hpcomplex` both round their sums here.
+    """
+    if sb == 0:
+        return _round_raw(sa, ma, ea, precision)
+    if sa == 0:
+        return _round_raw(sb, mb, eb, precision)
+    ta = ea + ma.bit_length()
+    tb = eb + mb.bit_length()
+    top = ta if ta > tb else tb
     # an operand more than prec+8 bits below the top only contributes its
     # leading bits plus a sticky tail; at most one operand can be that low
-    common = min(a.exponent, b.exponent)
-    floor_exp = top - (prec + 8)
+    common = ea if ea < eb else eb
+    floor_exp = top - (precision + 8)
     if common < floor_exp:
         common = floor_exp
     sticky = False
-    total = 0
-    for signed, exp, mant in ((a.sign, a.exponent, a.mantissa),
-                              (b_factor * b.sign, b.exponent, b.mantissa)):
-        if exp >= common:
-            total += signed * (mant << (exp - common))
-        else:
-            d = common - exp
-            sticky = sticky or bool(mant & ((1 << d) - 1))
-            # signed floor shift keeps total == floor(exact sum / 2**common)
-            total += (signed * mant) >> d
+    # signed floor shift keeps total == floor(exact sum / 2**common)
+    if ea >= common:
+        total = sa * (ma << (ea - common))
+    else:
+        d = common - ea
+        sticky = bool(ma & ((1 << d) - 1))
+        total = (sa * ma) >> d
+    if eb >= common:
+        total += sb * (mb << (eb - common))
+    else:
+        d = common - eb
+        sticky = sticky or bool(mb & ((1 << d) - 1))
+        total += (sb * mb) >> d
     if total == 0 and not sticky:
-        return HPReal._raw(0, 0, 0, prec)
+        return 0, 0, 0
     # the dropped tail is in [0, 1) units ABOVE total; fold it into a
     # magnitude-floor so the rounding jam always points the right way
     if total >= 0:
@@ -450,5 +459,11 @@ def _add(a: HPReal, b: HPReal, b_factor: int) -> HPReal:
     else:
         sign, mag = -1, -total - (1 if sticky else 0)
     # |total| >= 2**(prec+7) whenever sticky is set, so mag stays positive
-    s, m, e = _round_raw(sign, mag, common, prec, sticky=sticky)
+    return _round_raw(sign, mag, common, precision, sticky)
+
+
+def _add(a: HPReal, b: HPReal, b_factor: int) -> HPReal:
+    prec = max(a.precision, b.precision)
+    s, m, e = _add_raw(a.sign, a.mantissa, a.exponent,
+                       b_factor * b.sign, b.mantissa, b.exponent, prec)
     return HPReal._raw(s, m, e, prec)

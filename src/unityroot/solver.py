@@ -120,7 +120,8 @@ def _float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
         za = z[idx]
         diffs = za[:, None] - z[None, :]
         diffs[np.arange(len(idx)), idx] = 1.0
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                         divide="ignore"):
             denom = np.prod(diffs, axis=1)
             pz = za ** n - c
             corr = pz / denom
@@ -236,7 +237,12 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
     cf = reduced.to_complex()
     if not (math.isfinite(cf.real) and math.isfinite(cf.imag)):
         raise NoConvergence("target magnitude outside the supported range")
-    floats, used = _float_stage(n, cf, cap - _HP_SWEEP_RESERVE)
+    try:
+        floats, used = _float_stage(n, cf, cap - _HP_SWEEP_RESERVE)
+    except OverflowError as exc:
+        # binary64 rescaling in _rescue_correction runs out of range for
+        # large n (n >= 307 on the unit circle)
+        raise NoConvergence(f"float stage overflowed for n={n}") from exc
     zs = [lift_complex(complex(v), precision) for v in floats]
     if k:
         zs = [HPComplex(z.re.scale2(k), z.im.scale2(k)) for z in zs]

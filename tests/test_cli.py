@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from unityroot import HPComplex, HPReal, dft_forward
-from unityroot.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main,
-                           parse_args)
+from unityroot.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                           main, parse_args)
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +187,15 @@ class TestErrorsAndFormats:
         with pytest.raises(SystemExit) as info:
             parse_args([])
         assert info.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [("zeta", "--n", "320"),
+                                      ("roots", "--n", "307")])
+    def test_float_stage_overflow_is_numerical_error(self, capsys, argv):
+        # the binary64 stage cannot reach these n yet; it must fail with the
+        # JSON error and exit 2, never with a traceback
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_NUMERICAL
+        assert json.loads(out)["error"] == "NoConvergence"
 
     def test_text_format(self, capsys):
         code, out = run_cli(capsys, "order", "--n", "6", "--m", "5",

@@ -6,6 +6,7 @@ from unityroot import (CertificateFailure, DomainViolation, HPReal, InvalidN,
                        Zeta, advance_re, advance_re_derivative,
                        build_certificate, construct_zeta, descent_sequence,
                        retreat_re, solve_unity)
+from unityroot.descent import _arc_exclusion_ok, _gap2_scaled
 from conftest import exact, sample_reals
 
 TOL_120 = Fraction(1, 2 ** 120)
@@ -202,3 +203,39 @@ class TestCertificate:
     def test_odd_zeta_rejected(self):
         with pytest.raises(InvalidN):
             build_certificate(construct_zeta(9), solve_unity(9))
+
+
+class TestArcExclusion:
+    @pytest.mark.parametrize("n", [6, 150, 298])
+    def test_fixed_point_gap_within_derived_bound(self, n):
+        # 2 (1 - T_n(x)) = |z^n - 1|^2 exactly, T_n from the three-term
+        # recurrence on the integers P_k = T_k(x) * 2**(s k), x = p / 2**s
+        frac = 128 + 64
+        bound = 4 ** (n.bit_length() + 1)  # units of 2**-frac
+        # full-width 128-bit points in (-1, 1), the ends, and one point
+        # below 2**-64, where the conversion to 2**-frac units floors
+        xs = [HPReal.from_ratio(2 * k - 1001, 1001) for k in range(1, 1001, 37)]
+        xs += [HPReal.one(), -HPReal.one(), HPReal.zero(),
+               HPReal.one() - HPReal.pow2(-20), HPReal.from_ratio(5, 3 * 2 ** 100)]
+        for x in xs:
+            xe = exact(x)
+            s, p = xe.denominator.bit_length() - 1, xe.numerator
+            prev, cur = 1, p
+            for _ in range(n - 1):
+                prev, cur = cur, 2 * p * cur - (prev << 2 * s)
+            # exact gap * 2**(s n) = 2 (2**(s n) - P_n)
+            exact_scaled = 2 * ((1 << s * n) - cur)
+            got = _gap2_scaled(x, n, frac)
+            err = abs((got << s * n) - (exact_scaled << frac))
+            assert err <= bound << s * n, (n, x)
+
+    def test_root_at_a_grid_point_fails(self):
+        # the n = 8 grid passes 2**-9.10 from a 16th root of unity
+        assert not _arc_exclusion_ok(construct_zeta(8), 16)
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_roots_between_grid_points_are_missed(self, n):
+        # known gap of the sampled check: the 2n-th roots on these arcs fall
+        # between grid points (nearest 2**-8.59 at n = 6, 2**-7.42 at
+        # n = 10), so the check passes although the arcs hold such roots
+        assert _arc_exclusion_ok(construct_zeta(n), 2 * n)

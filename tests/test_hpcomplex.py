@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unityroot import HPComplex, HPReal
 from conftest import exact, exact_complex, sample_complexes
@@ -108,3 +110,95 @@ def test_scalar_multiplication():
     assert z * 2 == HPComplex.from_int(4, 6)
     assert z * HPReal.from_ratio(1, 2) == HPComplex(
         HPReal.from_int(1), HPReal.from_ratio(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# the fused integer kernels against the composed HPReal formulas
+# ---------------------------------------------------------------------------
+
+
+def bits(z):
+    return [(c.sign, c.mantissa, c.exponent, c.precision) for c in (z.re, z.im)]
+
+
+def composed_mul(z, w):
+    x, y, u, v = z.re, z.im, w.re, w.im
+    return HPComplex(x * u - y * v, x * v + y * u)
+
+
+def composed_pow(z, k):
+    result, base = HPComplex.one(z.precision), z
+    while k:
+        if k & 1:
+            result = composed_mul(result, base)
+        k >>= 1
+        if k:
+            base = composed_mul(base, base)
+    return result
+
+
+@st.composite
+def components(draw, precision):
+    """Zero, or a full-width value with magnitude in [2**-3p, 2**p]: two such
+    products are often more than prec + 8 bits apart, the sticky branch of
+    the addition."""
+    if draw(st.integers(0, 5)) == 0:
+        return HPReal.zero(precision)
+    mant = draw(st.integers(1 << (precision - 1), (1 << precision) - 1))
+    exp = draw(st.integers(-4 * precision, 0))
+    return HPReal(draw(st.sampled_from((-1, 1))), mant, exp, precision)
+
+
+@st.composite
+def complexes(draw):
+    prec = draw(st.sampled_from((64, 128)))
+    return HPComplex(draw(components(prec)), draw(components(prec)))
+
+
+@st.composite
+def near_diagonal(draw):
+    """x + iy with y within a few ulps of x, so z * conj(swap(z)) has the
+    imaginary part y^2 - x^2 cancelling almost completely."""
+    prec = draw(st.sampled_from((64, 128)))
+    x = draw(components(prec))
+    if x.is_zero():
+        return HPComplex(x, x)
+    mant = x.mantissa + draw(st.integers(-8, 8))
+    mant = min(max(mant, 1 << (prec - 1)), (1 << prec) - 1)
+    return HPComplex(x, HPReal(x.sign * draw(st.sampled_from((-1, 1))), mant,
+                               x.exponent, prec))
+
+
+class TestFusedKernels:
+    @settings(max_examples=400, deadline=None)
+    @given(complexes(), complexes())
+    def test_product_is_bit_identical(self, z, w):
+        assert bits(z * w) == bits(composed_mul(z, w))
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_diagonal())
+    def test_cancelling_product_is_bit_identical(self, z):
+        w = HPComplex(z.im, z.re).conj()
+        assert bits(z * w) == bits(composed_mul(z, w))
+
+    @settings(max_examples=300, deadline=None)
+    @given(complexes())
+    def test_abs2_is_bit_identical(self, z):
+        want = z.re * z.re + z.im * z.im
+        got = z.abs2()
+        assert ((got.sign, got.mantissa, got.exponent, got.precision)
+                == (want.sign, want.mantissa, want.exponent, want.precision))
+
+    @settings(max_examples=100, deadline=None)
+    @given(complexes(), st.integers(0, 70))
+    def test_pow_is_bit_identical(self, z, k):
+        assert bits(z.pow(k)) == bits(composed_pow(z, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(complexes(), complexes())
+    def test_division_is_bit_identical(self, z, w):
+        assume(not w.is_zero())
+        x, y, u, v = z.re, z.im, w.re, w.im
+        d = u * u + v * v
+        want = HPComplex((x * u + y * v) / d, (y * u - x * v) / d)
+        assert bits(z / w) == bits(want)
