@@ -1,13 +1,14 @@
 """Deterministic simultaneous root finding for z**n = c.
 
-The engine is Weierstrass/Durand-Kerner with Jacobi (simultaneous) updates
-from the asymmetric seed spiral g, g^2, ..., g^n with g = 0.4 + 0.9i, which
-breaks the symmetry that makes exact-circle seeds stall on z**n - 1.  Sweeps
-run in hardware binary64 until the spiral has settled onto the root circle;
-the settled estimates are then lifted exactly into high-precision values and
-driven to the final tolerance by simultaneous Newton sweeps plus one closing
-polish step per root.  Every stage is a pure function of (c, n, precision),
-so repeated calls are bit-identical.
+After an exact power-of-two reduction of c, Aberth's simultaneous method
+(Aberth 1973; Bini 1996, the MPSolve design) runs Jacobi sweeps in hardware
+binary64 from the rotation seeds u, u^2, ..., u^n, u = g/|g| with
+g = 0.4 + 0.9i: unit-circle points at irrational angles, which break the
+symmetry that stalls exact-circle seeds on z**n - 1.  The settled estimates
+are lifted exactly into high-precision values and driven to the final
+tolerance by simultaneous Newton sweeps plus one closing polish step per
+root.  Every stage is a pure function of (c, n, precision), so repeated
+calls are bit-identical.
 
 Only field operations and square roots are used in every stage.
 """
@@ -64,70 +65,64 @@ class RootSet:
 # ---------------------------------------------------------------------------
 
 
-def _spiral_seeds(n: int, scale: float) -> np.ndarray:
+def _rotation_seeds(n: int, scale: float) -> np.ndarray:
+    """scale * u^k for k = 1..n with u = g/|g| on the unit circle: distinct
+    points whose angles (k times an irrational multiple of pi) never fall
+    into the n-fold symmetry that stalls exact-circle seeds on z**n - 1."""
+    u = _SEED / abs(_SEED)
     out = np.empty(n, dtype=np.complex128)
     cur = 1.0 + 0.0j
     for k in range(n):
-        cur = cur * _SEED
+        cur = cur * u
         out[k] = cur * scale
     return out
 
 
-def _rescue_correction(zi: complex, slot: int, z: np.ndarray, n: int, c: complex) -> complex:
-    """Recompute one Weierstrass correction with power-of-two rescaling when
-    the plain product under- or overflowed."""
-    pm, pe = 1.0 + 0.0j, 0
-    for j in range(n):
-        if j == slot:
-            continue
-        pm = pm * (zi - z[j])
-        e = math.frexp(abs(pm))[1]
-        pm = complex(math.ldexp(pm.real, -e), math.ldexp(pm.imag, -e))
-        pe += e
-    am, ae, bm, be, k = 1.0 + 0.0j, 0, zi, 0, n
-    while k:
-        if k & 1:
-            am, ae = am * bm, ae + be
-            e = math.frexp(abs(am))[1]
-            am = complex(math.ldexp(am.real, -e), math.ldexp(am.imag, -e))
-            ae += e
-        k >>= 1
-        if k:
-            bm, be = bm * bm, be * 2
-            e = math.frexp(abs(bm))[1]
-            bm = complex(math.ldexp(bm.real, -e), math.ldexp(bm.imag, -e))
-            be += e
-    num = am - complex(math.ldexp(c.real, -ae), math.ldexp(c.imag, -ae))
-    cr = num / pm
-    shift = max(min(ae - pe, 1000), -1000)
-    return complex(math.ldexp(cr.real, shift), math.ldexp(cr.imag, shift))
+def _pow(w: np.ndarray, n: int) -> np.ndarray:
+    """w**n by binary powering (numpy's complex power goes through exp and
+    log for n >= 100)."""
+    out = np.ones_like(w)
+    while n:
+        if n & 1:
+            out = out * w
+        n >>= 1
+        if n:
+            w = w * w
+    return out
 
 
 def _float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
-    """Durand-Kerner sweeps in binary64; returns (roots, sweeps_used).
+    """Aberth sweeps in binary64; returns (roots, sweeps_used).
 
+    A root moves by 1/(R - S), S the sum of 1/(z - z_j) over the other
+    roots and R = p'/p written so that no power overflows: (n/z) t/(t - c)
+    with t = z^n for |z| <= 1, (n/z)/(1 - c t) with t = (1/z)^n for |z| > 1.
     A root freezes once both its correction and its residual are small; the
     frozen value keeps repelling the still-active roots (Jacobi contract).
     """
     scale = abs(c)
     ebits = math.frexp(1.0 + scale)[1]
-    z = _spiral_seeds(n, 2.0 ** max(ebits // n, 0))
+    z = _rotation_seeds(n, 2.0 ** max(ebits // n, 0))
     active = np.ones(n, dtype=bool)
     corr_tol = 1e-11 * max(1.0, scale)
     res_tol = 1e-9 * max(1.0, scale) * n
     for sweep in range(1, sweep_budget + 1):
         idx = np.nonzero(active)[0]
+        rows = np.arange(len(idx))
         za = z[idx]
-        diffs = za[:, None] - z[None, :]
-        diffs[np.arange(len(idx)), idx] = 1.0
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
-            denom = np.prod(diffs, axis=1)
-            pz = za ** n - c
-            corr = pz / denom
-        bad = ~np.isfinite(corr) | (denom == 0)
-        for r in np.nonzero(bad)[0]:
-            corr[r] = _rescue_correction(za[r], int(idx[r]), z, n, c)
+            inv = za[:, None] - z[None, :]
+            inv[rows, idx] = 1.0
+            np.divide(1.0, inv, out=inv)
+            inv[rows, idx] = 0.0
+            inside = np.abs(za) <= 1.0
+            t = _pow(np.where(inside, za, 1.0 / za), n)
+            den = np.where(inside, t - c, 1.0 - c * t)
+            num = (n / za) * np.where(inside, t, 1.0)
+            # 1/(R - S) with R = num/den, exactly zero at an exact root
+            corr = den / (num - inv.sum(axis=1) * den)
+            pz = np.where(inside, den, den / t)
         mag = np.abs(corr)
         limit = 4.0 * (1.0 + np.abs(za))
         over = mag > limit
@@ -237,22 +232,17 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
     cf = reduced.to_complex()
     if not (math.isfinite(cf.real) and math.isfinite(cf.imag)):
         raise NoConvergence("target magnitude outside the supported range")
-    try:
-        floats, used = _float_stage(n, cf, cap - _HP_SWEEP_RESERVE)
-    except OverflowError as exc:
-        # binary64 rescaling in _rescue_correction runs out of range for
-        # large n (n >= 307 on the unit circle)
-        raise NoConvergence(f"float stage overflowed for n={n}") from exc
+    floats, used = _float_stage(n, cf, cap - _HP_SWEEP_RESERVE)
     zs = [lift_complex(complex(v), precision) for v in floats]
     if k:
         zs = [HPComplex(z.re.scale2(k), z.im.scale2(k)) for z in zs]
     zs = _hp_stage(zs, c, n, precision, min(_HP_SWEEP_RESERVE, cap - used))
-    _check_distinct(zs, precision)
+    # floor and target are relative: the roots have modulus ~2**k
+    reduced_zs = [HPComplex(z.re.scale2(-k), z.im.scale2(-k)) for z in zs] if k else zs
+    _check_distinct(reduced_zs, precision)
     zs = _sort_roots(zs, precision)
     bound = _residual_bound(zs, c, n)
-    target = HPReal.pow2(-(precision // 2), precision)
-    if top > 0:
-        target = target.scale2((top + 1) // 2)  # relative for large |c|
+    target = HPReal.pow2((top + 1) // 2 - precision // 2, precision)
     if bound > target:
         raise NoConvergence(
             f"residual bound {bound.to_float():.3g} above target for n={n}")

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from unityroot import HPComplex, HPReal, dft_forward
+from unityroot import (HPComplex, HPReal, NoConvergence, cli, dft_forward,
+                       solve_unity)
 from unityroot.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                            main, parse_args)
 
@@ -190,12 +191,23 @@ class TestErrorsAndFormats:
 
     @pytest.mark.parametrize("argv", [("zeta", "--n", "320"),
                                       ("roots", "--n", "307")])
-    def test_float_stage_overflow_is_numerical_error(self, capsys, argv):
-        # the binary64 stage cannot reach these n yet; it must fail with the
-        # JSON error and exit 2, never with a traceback
+    def test_large_n_solves(self, capsys, argv):
+        # regression sizes for binary64 overflow in the float stage (n >= 307);
+        # both commands solve at index n, so the CLI filled the cache read here
         code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert solve_unity(int(argv[2])).residual_bound <= HPReal.pow2(-64)
+
+    def test_no_convergence_is_numerical_error(self, capsys, monkeypatch):
+        def fail(n, precision):
+            raise NoConvergence(f"newton sweeps exhausted for n={n}")
+
+        monkeypatch.setattr(cli, "solve_unity", fail)
+        code, out = run_cli(capsys, "roots", "--n", "5")
         assert code == EXIT_NUMERICAL
-        assert json.loads(out)["error"] == "NoConvergence"
+        assert json.loads(out) == {"schema_version": "1",
+                                   "error": "NoConvergence",
+                                   "detail": "newton sweeps exhausted for n=5"}
 
     def test_text_format(self, capsys):
         code, out = run_cli(capsys, "order", "--n", "6", "--m", "5",

@@ -3,8 +3,14 @@ import pytest
 from unityroot import (HPComplex, HPReal, InvalidN, RootSet, ZeroTarget,
                        cofactor_eval, simple_zero_check, solve_binomial,
                        solve_unity)
-from unityroot.oracle import trig_root
+from unityroot.oracle import trig_root, zeta_matches_trig
+from unityroot.solver import _float_stage
 from conftest import exact
+
+# the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
+# N itself for even N, 2N for odd N
+VERIFY_INDICES = sorted({n if n % 2 == 0 else 2 * n
+                         for n in range(5, 151) if n % 4 in (0, 1)})
 
 
 def closest_distance2(z, candidates):
@@ -92,6 +98,28 @@ class TestUnity:
             solve_unity(0)
 
 
+class TestLargeN:
+    @pytest.mark.parametrize("n", [307, 320, 640, 1024])
+    def test_solve_unity_large_n(self, n):
+        # regression sizes for binary64 overflow in the float stage (n >= 307)
+        a = solve_unity(n, use_cache=False)
+        assert a.residual_bound <= HPReal.pow2(-64)
+        assert a.bit_identical(solve_unity(n, use_cache=False))
+
+    def test_odd_zeta_at_doubled_index_622(self):
+        assert zeta_matches_trig(311)
+
+    def test_float_stage_settles_within_40_sweeps(self):
+        # guards the seeds: the spiral g^k (|g| < 1) took up to 266 sweeps
+        # here, and over 40 at half of these indices
+        slow = {}
+        for n in VERIFY_INDICES + [2048]:
+            _, sweeps = _float_stage(n, 1 + 0j, 50 + 10 * n)
+            if sweeps > 40:
+                slow[n] = sweeps
+        assert not slow
+
+
 class TestBinomial:
     def test_sixteen_fourth_roots(self):
         rs = solve_binomial(HPComplex.from_int(16), 4)
@@ -127,6 +155,14 @@ class TestBinomial:
         want = HPReal.pow2(-30)
         for z in rs2.roots:
             assert abs(abs(z) - want) <= HPReal.pow2(-100)
+
+    @pytest.mark.parametrize("exp, n", [(-600, 5), (-2000, 7)])
+    def test_tiny_targets_meet_relative_floor_and_target(self, exp, n):
+        # roots of modulus 2**(exp/n) sit far below an absolute 2**-32 floor
+        c = HPComplex(HPReal.pow2(exp), HPReal.zero())
+        rs = solve_binomial(c, n)
+        assert len(rs.roots) == n
+        assert rs.residual_bound <= HPReal.pow2(exp - 64)
 
 
 class TestCofactor:
