@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from .errors import (CertificateFailure, DomainViolation, InvalidN,
                      NonDescent, StepLimit)
 from .hpreal import HPReal
-from .solver import RootSet
+from .solver import RootSet, contract_tol
 from .zeta import Zeta
 
 # margin for the sampled arc exclusion, calibrated so the thousand-point
@@ -40,10 +40,6 @@ from .zeta import Zeta
 _EXCLUSION_FLOOR_EXP = -9
 
 _GRID_POINTS = 1000
-
-
-def _clamp_tol(precision: int) -> HPReal:
-    return HPReal.pow2(-(precision // 2), precision)
 
 
 def _semicircle_height(x: HPReal) -> HPReal:
@@ -58,7 +54,7 @@ def advance_re(x: HPReal, zeta: Zeta) -> HPReal:
     DomainViolation; within that band they are clamped to the boundary, which
     is sound because the map extends continuously to the closed interval.
     """
-    tol = _clamp_tol(zeta.precision)
+    tol = contract_tol(zeta.precision)
     one = HPReal.one(zeta.precision)
     lo = -zeta.a
     if x > one + tol or x < lo - tol:
@@ -72,7 +68,7 @@ def advance_re(x: HPReal, zeta: Zeta) -> HPReal:
 
 def retreat_re(y: HPReal, zeta: Zeta) -> HPReal:
     """The inverse map a*y + b*sqrt(1-y^2) with clamping on [-1, a]."""
-    tol = _clamp_tol(zeta.precision)
+    tol = contract_tol(zeta.precision)
     one = HPReal.one(zeta.precision)
     if y > zeta.a + tol or y < -one - tol:
         raise DomainViolation(f"retreat_re argument {y.to_float()} outside [-1, a]")
@@ -111,7 +107,7 @@ def descent_sequence(zeta: Zeta, max_steps: int | None = None):
         max_steps = zeta.n
     if max_steps < zeta.n:
         raise InvalidN("max_steps must be at least n")
-    tol = _clamp_tol(zeta.precision)
+    tol = contract_tol(zeta.precision)
     exit_bound = -zeta.a - tol
     xs = [HPReal.one(zeta.precision)]
     while True:
@@ -258,7 +254,7 @@ def build_certificate(zeta: Zeta, rootset: RootSet) -> ZetaCertificate:
     if not rootset.is_unity or rootset.n != zeta.n:
         raise InvalidN("certificate root set must be solve_unity(n) for the same n")
     prec = zeta.precision
-    tol = _clamp_tol(prec)
+    tol = contract_tol(prec)
     xs, p = descent_sequence(zeta, max_steps=zeta.n)
     one = HPReal.one(prec)
     strict = all(xs[i + 1] < xs[i] for i in range(len(xs) - 1))

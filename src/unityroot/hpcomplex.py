@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .hpreal import HPReal, _add_raw, _round_raw
+from .hpreal import HPReal, add_raw, round_raw
 
 
 def _product(xs, xm, xe, ys, ym, ye, us, um, ue, vs, vm, ve, prec):
@@ -25,22 +25,22 @@ def _product(xs, xm, xe, ys, ym, ye, us, um, ue, vs, vm, ve, prec):
     exponent) at `prec` bits.  A zero component has mantissa 0, so its
     products round to the raw zero without a branch.
     """
-    s1, m1, e1 = _round_raw(xs * us, xm * um, xe + ue, prec)
-    s2, m2, e2 = _round_raw(ys * vs, ym * vm, ye + ve, prec)
-    s3, m3, e3 = _round_raw(xs * vs, xm * vm, xe + ve, prec)
-    s4, m4, e4 = _round_raw(ys * us, ym * um, ye + ue, prec)
-    return (_add_raw(s1, m1, e1, -s2, m2, e2, prec)
-            + _add_raw(s3, m3, e3, s4, m4, e4, prec))
+    s1, m1, e1 = round_raw(xs * us, xm * um, xe + ue, prec)
+    s2, m2, e2 = round_raw(ys * vs, ym * vm, ye + ve, prec)
+    s3, m3, e3 = round_raw(xs * vs, xm * vm, xe + ve, prec)
+    s4, m4, e4 = round_raw(ys * us, ym * um, ye + ue, prec)
+    return (add_raw(s1, m1, e1, -s2, m2, e2, prec)
+            + add_raw(s3, m3, e3, s4, m4, e4, prec))
 
 
 def _square(xs, xm, xe, ys, ym, ye, prec):
     """_product of (x + iy) with itself.  Both halves of x*y + y*x round to
     the same prec-bit value, whose sum the addition doubles exactly, so the
     imaginary part is that value with its exponent raised by one."""
-    s1, m1, e1 = _round_raw(xs * xs, xm * xm, 2 * xe, prec)
-    s2, m2, e2 = _round_raw(ys * ys, ym * ym, 2 * ye, prec)
-    s3, m3, e3 = _round_raw(xs * ys, xm * ym, xe + ye, prec)
-    return (_add_raw(s1, m1, e1, -s2, m2, e2, prec)
+    s1, m1, e1 = round_raw(xs * xs, xm * xm, 2 * xe, prec)
+    s2, m2, e2 = round_raw(ys * ys, ym * ym, 2 * ye, prec)
+    s3, m3, e3 = round_raw(xs * ys, xm * ym, xe + ye, prec)
+    return (add_raw(s1, m1, e1, -s2, m2, e2, prec)
             + ((s3, m3, e3 + 1) if s3 else (0, 0, 0)))
 
 
@@ -135,11 +135,11 @@ class HPComplex:
         """|z|^2 without the square root, rounded as re*re + im*im."""
         x, y = self.re, self.im
         prec = x.precision
-        s1, m1, e1 = _round_raw(x.sign * x.sign, x.mantissa * x.mantissa,
+        s1, m1, e1 = round_raw(x.sign * x.sign, x.mantissa * x.mantissa,
                                 2 * x.exponent, prec)
-        s2, m2, e2 = _round_raw(y.sign * y.sign, y.mantissa * y.mantissa,
+        s2, m2, e2 = round_raw(y.sign * y.sign, y.mantissa * y.mantissa,
                                 2 * y.exponent, prec)
-        s, m, e = _add_raw(s1, m1, e1, s2, m2, e2, prec)
+        s, m, e = add_raw(s1, m1, e1, s2, m2, e2, prec)
         return HPReal._raw(s, m, e, prec)
 
     def __abs__(self) -> HPReal:

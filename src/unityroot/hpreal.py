@@ -39,7 +39,7 @@ def _isqrt(v: int) -> int:
         x = y
 
 
-def _round_raw(sign: int, mant: int, exp: int, precision: int, sticky: bool = False):
+def round_raw(sign: int, mant: int, exp: int, precision: int, sticky: bool = False):
     """Round a raw magnitude to `precision` bits, round-half-to-even.
 
     ``sticky`` flags discarded nonzero bits strictly below ``mant``; callers
@@ -114,7 +114,7 @@ class HPReal:
         if value == 0:
             return cls._raw(0, 0, 0, precision)
         sign = 1 if value > 0 else -1
-        s, m, e = _round_raw(sign, abs(value), 0, precision)
+        s, m, e = round_raw(sign, abs(value), 0, precision)
         return cls._raw(s, m, e, precision)
 
     @classmethod
@@ -132,7 +132,7 @@ class HPReal:
             q, r = divmod(num << shift, den)
         else:
             q, r = divmod(num, den << -shift)
-        s, m, e = _round_raw(sign, q, -shift, precision, sticky=r != 0)
+        s, m, e = round_raw(sign, q, -shift, precision, sticky=r != 0)
         return cls._raw(s, m, e, precision)
 
     @classmethod
@@ -146,7 +146,7 @@ class HPReal:
         frac, e = math.frexp(value)
         m = int(frac * (1 << 53))  # exact: binary64 has 53 mantissa bits
         sign = 1 if m > 0 else -1
-        s, mm, ee = _round_raw(sign, abs(m), e - 53, precision)
+        s, mm, ee = round_raw(sign, abs(m), e - 53, precision)
         return cls._raw(s, mm, ee, precision)
 
     @classmethod
@@ -225,7 +225,7 @@ class HPReal:
         sign = self.sign * o.sign
         if sign == 0:
             return HPReal._raw(0, 0, 0, prec)
-        s, m, e = _round_raw(sign, self.mantissa * o.mantissa,
+        s, m, e = round_raw(sign, self.mantissa * o.mantissa,
                              self.exponent + o.exponent, prec)
         return HPReal._raw(s, m, e, prec)
 
@@ -242,7 +242,7 @@ class HPReal:
             return HPReal._raw(0, 0, 0, prec)
         shift = prec + 4 - self.mantissa.bit_length() + o.mantissa.bit_length()
         q, r = divmod(self.mantissa << shift, o.mantissa)
-        s, m, e = _round_raw(self.sign * o.sign, q,
+        s, m, e = round_raw(self.sign * o.sign, q,
                              self.exponent - o.exponent - shift, prec,
                              sticky=r != 0)
         return HPReal._raw(s, m, e, prec)
@@ -267,7 +267,7 @@ class HPReal:
             shift += 1
         scaled = self.mantissa << shift
         root = _isqrt(scaled)
-        s, m, e = _round_raw(1, root, (self.exponent - shift) >> 1, prec,
+        s, m, e = round_raw(1, root, (self.exponent - shift) >> 1, prec,
                              sticky=root * root != scaled)
         return HPReal._raw(s, m, e, prec)
 
@@ -280,7 +280,7 @@ class HPReal:
     def with_precision(self, precision: int) -> "HPReal":
         """Round (or exactly widen) to a different working precision."""
         HPReal._check_precision(precision)
-        s, m, e = _round_raw(self.sign, self.mantissa, self.exponent, precision)
+        s, m, e = round_raw(self.sign, self.mantissa, self.exponent, precision)
         return HPReal._raw(s, m, e, precision)
 
     # -- ordering (exact on stored values, no implicit tolerance) ------------
@@ -393,7 +393,7 @@ class HPReal:
             return cls._raw(0, 0, 0, precision)
         if scale >= 0:
             value = digits * 10 ** scale
-            s_, m, e = _round_raw(sign, value, 0, precision)
+            s_, m, e = round_raw(sign, value, 0, precision)
             return cls._raw(s_, m, e, precision)
         # digits / (2**k * 5**k) with k = -scale, rounded once
         k = -scale
@@ -403,7 +403,7 @@ class HPReal:
             q, r = divmod(digits << shift, den)
         else:
             q, r = divmod(digits, den << -shift)
-        s_, m, e = _round_raw(sign, q, -k - shift, precision, sticky=r != 0)
+        s_, m, e = round_raw(sign, q, -k - shift, precision, sticky=r != 0)
         return cls._raw(s_, m, e, precision)
 
     def __repr__(self) -> str:
@@ -415,7 +415,7 @@ class HPReal:
 # ---------------------------------------------------------------------------
 
 
-def _add_raw(sa: int, ma: int, ea: int, sb: int, mb: int, eb: int, precision: int):
+def add_raw(sa: int, ma: int, ea: int, sb: int, mb: int, eb: int, precision: int):
     """Round the exact sum of two raw values to `precision` bits.
 
     Each operand is a (sign, mantissa, exponent) triple with a mantissa of at
@@ -424,9 +424,9 @@ def _add_raw(sa: int, ma: int, ea: int, sb: int, mb: int, eb: int, precision: in
     :mod:`unityroot.hpcomplex` both round their sums here.
     """
     if sb == 0:
-        return _round_raw(sa, ma, ea, precision)
+        return round_raw(sa, ma, ea, precision)
     if sa == 0:
-        return _round_raw(sb, mb, eb, precision)
+        return round_raw(sb, mb, eb, precision)
     ta = ea + ma.bit_length()
     tb = eb + mb.bit_length()
     top = ta if ta > tb else tb
@@ -459,11 +459,11 @@ def _add_raw(sa: int, ma: int, ea: int, sb: int, mb: int, eb: int, precision: in
     else:
         sign, mag = -1, -total - (1 if sticky else 0)
     # |total| >= 2**(prec+7) whenever sticky is set, so mag stays positive
-    return _round_raw(sign, mag, common, precision, sticky)
+    return round_raw(sign, mag, common, precision, sticky)
 
 
 def _add(a: HPReal, b: HPReal, b_factor: int) -> HPReal:
     prec = max(a.precision, b.precision)
-    s, m, e = _add_raw(a.sign, a.mantissa, a.exponent,
+    s, m, e = add_raw(a.sign, a.mantissa, a.exponent,
                        b_factor * b.sign, b.mantissa, b.exponent, prec)
     return HPReal._raw(s, m, e, prec)

@@ -10,17 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoConvergence, NotARoot, NotPrime, ZeroTarget
+from .dft import twiddle_table
+from .errors import NotARoot, NotPrime, ZeroTarget
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
-from .solver import RootSet, _check_distinct, _residual_bound, _sort_roots
-from .zeta import construct_zeta
-
-_SEED_RE, _SEED_IM = (2, 5), (9, 10)  # 0.4 + 0.9i as exact ratios
-
-
-def _default_tol(precision: int) -> HPReal:
-    return HPReal.pow2(-(precision // 2), precision)
+from .solver import RootSet, assemble_rootset, contract_tol, newton_root
 
 
 def _divisors(n: int) -> list:
@@ -54,7 +48,7 @@ def multiplicative_order(w: HPComplex, n: int, tol: HPReal | None = None) -> Pri
     so only those are scanned."""
     prec = w.precision
     if tol is None:
-        tol = _default_tol(prec)
+        tol = contract_tol(prec)
     one = HPComplex.one(prec)
     tol2 = tol * tol
     if (w.pow(n) - one).abs2() > tol2:
@@ -79,7 +73,7 @@ def prime_shortcut(w: HPComplex, n: int, tol: HPReal | None = None) -> bool:
         raise NotPrime(f"{n} is not prime")
     prec = w.precision
     if tol is None:
-        tol = _default_tol(prec)
+        tol = contract_tol(prec)
     one = HPComplex.one(prec)
     tol2 = tol * tol
     if (w.pow(n) - one).abs2() > tol2:
@@ -87,71 +81,18 @@ def prime_shortcut(w: HPComplex, n: int, tol: HPReal | None = None) -> bool:
     return (w - one).abs2() > tol2
 
 
-def _newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
-    """One n-th root of c by Newton iteration.
-
-    The seed sits at radius (1 + |c|)/2 along the direction of c; unless c is
-    a positive real (where the positive real root is reached directly), the
-    direction is rotated by the fixed asymmetric unit g/|g| so the iteration
-    never starts on a root-free invariant line (negative real targets with
-    even n would otherwise trap it on the real axis).
-    """
-    mag = abs(c)
-    half = HPReal.from_ratio(1, 2, precision)
-    radius = (HPReal.one(precision) + mag) * half
-    if c.im.is_zero() and c.re.sign > 0:
-        seed = HPComplex(radius, HPReal.zero(precision))
-    else:
-        direction = c / mag
-        g = HPComplex(HPReal.from_ratio(*_SEED_RE, precision),
-                      HPReal.from_ratio(*_SEED_IM, precision))
-        g_unit = g / abs(g)
-        seed = direction * g_unit * radius
-    disp2 = HPReal.pow2(-(3 * precision) // 4, precision)
-    disp2 = disp2 * disp2
-    big = mag * mag
-    if big > 1:
-        disp2 = disp2 * big
-    z = seed
-    for _ in range(50 + 10 * n):
-        zp = z.pow(n - 1)
-        delta = (zp * z - c) / (zp * n)
-        z = z - delta
-        if delta.abs2() <= disp2:
-            return z
-    raise NoConvergence(f"newton root of degree {n} did not converge")
-
-
 def roots_of(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     """All n roots of z**n = c as {zeta^k * z : k = 0..n-1} for one root z.
 
     Cross-validates the solver: the construction here uses one Newton root
-    plus rotation by the primitive root, never the simultaneous iteration.
+    times the twiddle powers of the primitive root, never the simultaneous
+    iteration; the root set is checked and bounded as the solver's is.
     """
     if c.is_zero():
         raise ZeroTarget("z**n = 0 has only the trivial root")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     c = HPComplex(c.re.with_precision(precision), c.im.with_precision(precision))
-    z0 = _newton_root(c, n, precision)
-    w = construct_zeta(n, precision).as_complex()
-    roots = [z0]
-    cur = z0
-    for k in range(1, n):
-        if k % 16 == 0:
-            cur = w.pow(k) * z0  # re-anchor to bound multiplicative drift
-        else:
-            cur = cur * w
-        roots.append(cur)
-    _check_distinct(roots, precision)
-    roots = _sort_roots(roots, precision)
-    bound = _residual_bound(roots, c, n)
-    target = _default_tol(precision)
-    mag2 = c.abs2()
-    top = mag2.exponent + mag2.mantissa.bit_length()
-    if top > 0:
-        target = target.scale2((top + 1) // 2)
-    if bound > target:
-        raise NoConvergence("rotated root set failed the residual contract")
-    return RootSet(n=n, target=c, roots=tuple(roots),
-                   residual_bound=bound, precision=precision)
+    z0 = newton_root(c, n, precision)
+    roots = [z0 * w for w in twiddle_table(n, precision).inverse]
+    return assemble_rootset(roots, c, n, precision)

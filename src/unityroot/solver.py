@@ -10,6 +10,10 @@ tolerance by simultaneous Newton sweeps plus one closing polish step per
 root.  Every stage is a pure function of (c, n, precision), so repeated
 calls are bit-identical.
 
+The same Newton loop, run from one seed, gives ``roots_of`` its root
+(:func:`newton_root`), and :func:`assemble_rootset` checks, orders and bounds
+every root set, solved or rotated, relative to the roots' power-of-two scale.
+
 Only field operations and square roots are used in every stage.
 """
 
@@ -25,6 +29,7 @@ from .hpcomplex import HPComplex, lift_complex
 from .hpreal import HPReal
 
 _SEED = complex(0.4, 0.9)
+_ROTATION = _SEED / abs(_SEED)
 
 # sweeps held back from the float stage for the high-precision stage
 _HP_SWEEP_RESERVE = 12
@@ -69,11 +74,10 @@ def _rotation_seeds(n: int, scale: float) -> np.ndarray:
     """scale * u^k for k = 1..n with u = g/|g| on the unit circle: distinct
     points whose angles (k times an irrational multiple of pi) never fall
     into the n-fold symmetry that stalls exact-circle seeds on z**n - 1."""
-    u = _SEED / abs(_SEED)
     out = np.empty(n, dtype=np.complex128)
     cur = 1.0 + 0.0j
     for k in range(n):
-        cur = cur * u
+        cur = cur * _ROTATION
         out[k] = cur * scale
     return out
 
@@ -146,20 +150,37 @@ def _float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def contract_tol(precision: int) -> HPReal:
+    """2**-(precision/2): the residual contract of a unit-scale root set, and
+    the tolerance of every "equal up to rounding" test built on it."""
+    return HPReal.pow2(-(precision // 2), precision)
+
+
+def _root_scale(c: HPComplex, n: int) -> tuple:
+    """(top, k): top = floor(log2 |c|^2) + 1, and k = top // (2n), the
+    power-of-two scale of the roots, 2**(k - 1/(2n)) <= |z| < 2**(k + 1)."""
+    mag2 = c.abs2()
+    top = mag2.exponent + mag2.mantissa.bit_length()
+    return top, top // (2 * n)
+
+
+def _scale2(z: HPComplex, k: int) -> HPComplex:
+    return HPComplex(z.re.scale2(k), z.im.scale2(k))
+
+
 def _newton_delta(z: HPComplex, c: HPComplex, n: int) -> HPComplex:
     zp = z.pow(n - 1)
     pz = zp * z - c
     return pz / (zp * n)
 
 
-def _hp_stage(zs: list, c: HPComplex, n: int, precision: int, sweep_budget: int):
-    """Simultaneous Newton sweeps to the displacement target, then one
+def _newton(zs: list, c: HPComplex, n: int, k: int, precision: int,
+            sweep_budget: int) -> list:
+    """Simultaneous Newton sweeps until no root moves by more than
+    2**(k - 3*precision/4), relative to the roots' scale 2**k, then one
     closing polish step per root."""
-    disp_tol2 = HPReal.pow2(-(3 * precision) // 4, precision)
+    disp_tol2 = HPReal.pow2(-(3 * precision) // 4 + k, precision)
     disp_tol2 = disp_tol2 * disp_tol2
-    mag2 = c.abs2()
-    if mag2 > 1:
-        disp_tol2 = disp_tol2 * mag2
     for _ in range(sweep_budget):
         deltas = [_newton_delta(z, c, n) for z in zs]
         zs = [z - d for z, d in zip(zs, deltas)]
@@ -173,6 +194,24 @@ def _hp_stage(zs: list, c: HPComplex, n: int, precision: int, sweep_budget: int)
     return zs
 
 
+def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
+    """One n-th root of c != 0 by the solver's Newton loop.
+
+    The seed has modulus 2**(k + 1), at or above every root's, and the
+    direction u**j of the rotation seeds for the first j >= 1 with
+    Re(u**(j*n) * conj(c/|c|)) >= 1/2: its n-th power lies within 60 degrees
+    of c.  The direction is found in binary64 by binary powering alone.
+    """
+    top, k = _root_scale(c, n)
+    toward = _scale2(c, -(top // 2)).to_complex().conjugate()  # |toward| ~ 1
+    step = complex(_pow(_ROTATION, n))
+    d, dn = _ROTATION, step
+    while (dn * toward).real < 0.5 * abs(toward):
+        d, dn = d * _ROTATION, dn * step
+    seed = _scale2(lift_complex(d, precision), k + 1)
+    return _newton([seed], c, n, k, precision, 50 + 10 * n)[0]
+
+
 def _residual_bound(zs: list, c: HPComplex, n: int) -> HPReal:
     worst = HPReal.zero(c.precision)
     for z in zs:
@@ -182,13 +221,12 @@ def _residual_bound(zs: list, c: HPComplex, n: int) -> HPReal:
     return worst
 
 
-def _check_distinct(zs: list, precision: int) -> None:
-    """Roots closer than 2**(-precision/4) mean the solve failed; they are
-    never merged.  Screening runs in binary64, suspects are re-measured in
-    high precision."""
+def _collapsed_pair(zs: list, precision: int):
+    """The first pair of roots closer than 2**(-precision/4), or None.
+    Screening runs in binary64, suspects are re-measured in high precision."""
     n = len(zs)
     if n < 2:
-        return
+        return None
     approx = np.array([z.to_complex() for z in zs])
     dist = np.abs(approx[:, None] - approx[None, :]) + np.eye(n) * 4.0
     band = max(2.0 ** (-(precision // 4)) * 4.0, 1e-12)
@@ -197,14 +235,13 @@ def _check_distinct(zs: list, precision: int) -> None:
     thr2 = thr2 * thr2
     for u, v in zip(su, sv):
         if u < v and (zs[u] - zs[v]).abs2() <= thr2:
-            raise NoConvergence(
-                f"roots {u} and {v} collapsed below the distinctness floor")
+            return u, v
+    return None
 
 
-def _sort_roots(zs: list, precision: int) -> list:
+def _sort_roots(zs: list, band: HPReal) -> list:
     """Deterministic order: upper half plane first, then the real band, then
     the lower half; descending real part within each band."""
-    band = HPReal.pow2(-(precision // 2), precision)
 
     def key(z: HPComplex):
         if z.im > band:
@@ -218,6 +255,30 @@ def _sort_roots(zs: list, precision: int) -> list:
     return sorted(zs, key=key)
 
 
+def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
+    """The RootSet of the n roots zs of z**n = c: checked, ordered, bounded.
+
+    Floor, band and target are relative to the roots' scale 2**k: roots
+    closer than 2**(k - precision/4) mean the solve failed (they are never
+    merged), the real band of the order is 2**k * contract_tol, and the
+    residual bound must be at most 2**((top + 1) // 2) * contract_tol,
+    about |c| * 2**(-precision/2).
+    """
+    top, k = _root_scale(c, n)
+    pair = _collapsed_pair([_scale2(z, -k) for z in zs], precision)
+    if pair is not None:
+        raise NoConvergence(
+            f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
+    tol = contract_tol(precision)
+    zs = _sort_roots(zs, tol.scale2(k))
+    bound = _residual_bound(zs, c, n)
+    if bound > tol.scale2((top + 1) // 2):
+        raise NoConvergence(
+            f"residual bound {bound.to_float():.3g} above target for n={n}")
+    return RootSet(n=n, target=c, roots=tuple(zs),
+                   residual_bound=bound, precision=precision)
+
+
 def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
@@ -225,29 +286,14 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
     cap = 50 + 10 * n
     # reduce by an exact power of two so the float stage sees a tame target:
     # z = 2**k * y  with  y**n = c / 2**(k*n)
-    mag2 = c.abs2()
-    top = mag2.exponent + mag2.mantissa.bit_length()  # ~ 2*log2|c|
-    k = top // (2 * n)
-    reduced = HPComplex(c.re.scale2(-k * n), c.im.scale2(-k * n))
-    cf = reduced.to_complex()
+    _, k = _root_scale(c, n)
+    cf = _scale2(c, -k * n).to_complex()
     if not (math.isfinite(cf.real) and math.isfinite(cf.imag)):
         raise NoConvergence("target magnitude outside the supported range")
     floats, used = _float_stage(n, cf, cap - _HP_SWEEP_RESERVE)
-    zs = [lift_complex(complex(v), precision) for v in floats]
-    if k:
-        zs = [HPComplex(z.re.scale2(k), z.im.scale2(k)) for z in zs]
-    zs = _hp_stage(zs, c, n, precision, min(_HP_SWEEP_RESERVE, cap - used))
-    # floor and target are relative: the roots have modulus ~2**k
-    reduced_zs = [HPComplex(z.re.scale2(-k), z.im.scale2(-k)) for z in zs] if k else zs
-    _check_distinct(reduced_zs, precision)
-    zs = _sort_roots(zs, precision)
-    bound = _residual_bound(zs, c, n)
-    target = HPReal.pow2((top + 1) // 2 - precision // 2, precision)
-    if bound > target:
-        raise NoConvergence(
-            f"residual bound {bound.to_float():.3g} above target for n={n}")
-    return RootSet(n=n, target=c, roots=tuple(zs),
-                   residual_bound=bound, precision=precision)
+    zs = [_scale2(lift_complex(complex(v), precision), k) for v in floats]
+    zs = _newton(zs, c, n, k, precision, min(_HP_SWEEP_RESERVE, cap - used))
+    return assemble_rootset(zs, c, n, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +347,10 @@ def simple_zero_check(rootset: RootSet) -> bool:
     if not rootset.is_unity:
         raise InvalidN("simple_zero_check expects a unity root set")
     n, prec = rootset.n, rootset.precision
-    thr2 = HPReal.pow2(-(prec // 4), prec)
-    thr2 = thr2 * thr2
-    zs = rootset.roots
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (zs[i] - zs[j]).abs2() <= thr2:
-                return False
+    if _collapsed_pair(rootset.roots, prec) is not None:
+        return False
     floor = HPReal.from_ratio(n, 2, prec)
-    for w in zs:
+    for w in rootset.roots:
         if abs(cofactor_eval(w, w, n)) < floor:
             return False
     return True

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from unityroot import (HPComplex, HPReal, NotARoot, NotPrime, ZeroTarget,
-                       construct_zeta, gcd_primitivity, is_prime,
+from unityroot import (HPComplex, HPReal, NoConvergence, NotARoot, NotPrime,
+                       ZeroTarget, construct_zeta, gcd_primitivity, is_prime,
                        multiplicative_order, prime_shortcut, roots_of,
                        solve_binomial, solve_unity)
 
@@ -156,3 +158,26 @@ class TestRootsOf:
         b = roots_of(c, 5)
         for x, y in zip(a.roots, b.roots):
             assert x == y
+
+    def test_wide_magnitudes_seeded(self):
+        # the old seed at radius (1 + |c|)/2 ran out of Newton steps over
+        # most of this grid, (-7 + 3i) * 2**10 at n = 16 among them
+        rng = random.Random(5)
+        cases = [(-7, 3, 10, 16, 128), (1, 0, 2000, 7, 128),
+                 (1, 0, -2000, 7, 128), (-1, 0, 0, 128, 32), (0, -1, 0, 1, 512)]
+        for _ in range(40):
+            cases.append((rng.getrandbits(40) - (1 << 39), rng.getrandbits(40) - (1 << 39),
+                          rng.randint(-2040, 1960), rng.randint(1, 128),
+                          rng.randint(32, 512)))
+        failed = []
+        for re, im, exp, n, precision in cases:
+            c = HPComplex(HPReal.from_int(re, precision).scale2(exp),
+                          HPReal.from_int(im, precision).scale2(exp))
+            try:
+                rs = roots_of(c, n, precision)
+            except NoConvergence as err:
+                failed.append((re, im, exp, n, precision, str(err)))
+                continue
+            if len(rs.roots) != n or rs.residual_bound > abs(c).scale2(-(precision // 2)):
+                failed.append((re, im, exp, n, precision, rs.residual_bound.to_float()))
+        assert not failed

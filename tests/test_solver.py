@@ -1,8 +1,8 @@
 import pytest
 
-from unityroot import (HPComplex, HPReal, InvalidN, RootSet, ZeroTarget,
-                       cofactor_eval, simple_zero_check, solve_binomial,
-                       solve_unity)
+from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
+                       ZeroTarget, cofactor_eval, roots_of, simple_zero_check,
+                       solve_binomial, solve_unity)
 from unityroot.oracle import trig_root, zeta_matches_trig
 from unityroot.solver import _float_stage
 from conftest import exact
@@ -15,6 +15,17 @@ VERIFY_INDICES = sorted({n if n % 2 == 0 else 2 * n
 
 def closest_distance2(z, candidates):
     return min((z - w).abs2() for w in candidates)
+
+
+def assert_documented_order(roots):
+    """Upper half plane first, then the real band, then the lower half, by
+    descending real part within each; the band here is relative, |z| 2**-32."""
+    def key(z):
+        band = abs(z).scale2(-32)
+        return (0 if z.im > band else 2 if -z.im > band else 1, -z.re)
+
+    keys = [key(z) for z in roots]
+    assert keys == sorted(keys), [z.to_complex() for z in roots]
 
 
 def as_set_match(got, want, tol2):
@@ -163,6 +174,31 @@ class TestBinomial:
         rs = solve_binomial(c, n)
         assert len(rs.roots) == n
         assert rs.residual_bound <= HPReal.pow2(exp - 64)
+
+    def test_newton_stop_is_relative_to_root_scale(self):
+        # an absolute stop (scaled by |c|, not by the roots' |c|^(1/n)) ended
+        # these solves after one sweep or never
+        failed = []
+        for precision in (128, 256, 512):
+            for exp in (-1000, -200, 0, 200, 1000):
+                c = HPComplex(HPReal.from_int(3, precision).scale2(exp),
+                              HPReal.pow2(exp, precision))
+                for n in (3, 7):
+                    try:
+                        bound = solve_binomial(c, n, precision).residual_bound
+                    except NoConvergence as err:
+                        failed.append((precision, exp, n, str(err)))
+                        continue
+                    if bound > abs(c).scale2(-(precision // 2)):
+                        failed.append((precision, exp, n, bound.to_float()))
+        assert not failed
+
+    @pytest.mark.parametrize("solve", [solve_binomial, roots_of])
+    def test_tiny_target_keeps_documented_order(self, solve):
+        # an absolute real-axis band put every root of modulus 2**-120 in it
+        rs = solve(HPComplex(HPReal.pow2(-600), HPReal.zero()), 5)
+        assert_documented_order(rs.roots)
+        assert [z.im.sign for z in rs.roots[:2] + rs.roots[3:]] == [1, 1, -1, -1]
 
 
 class TestCofactor:
