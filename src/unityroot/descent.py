@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from . import fixed
 from .errors import (CertificateFailure, DomainViolation, InvalidN,
                      NonDescent, StepLimit)
 from .hpreal import HPReal
@@ -186,10 +187,7 @@ def _gap2_scaled(x: HPReal, n: int, frac: int) -> int:
     """|z^n - 1|^2 = 2 (1 - T_n(x)) for z = x + i*sqrt(1-x^2), times 2**frac,
     by the fixed-point doubling ladder; within 4**(n.bit_length() + 1) units
     of the exact value for |x| <= 1 (derived in :func:`_arc_exclusion_ok`)."""
-    shift = x.exponent + frac
-    fx = x.mantissa << shift if shift >= 0 else x.mantissa >> -shift
-    if x.sign < 0:
-        fx = -fx
+    fx = fixed.to_fixed(x, frac)
     unit = 1 << frac
     c0, c1 = unit, fx  # (T_k, T_k+1) from k = 0, one step per bit of n
     for bit in bin(n)[2:]:
@@ -209,13 +207,14 @@ def _arc_exclusion_ok(zeta: Zeta, n: int) -> bool:
     on the unit circle, |z^n - 1|^2 = 2 - 2 Re(z^n) = 2 (1 - T_n(x)) exactly,
     with T_n the Chebyshev polynomial, so no square root or power of z is
     needed.  T_n(x) is evaluated on integers scaled by 2**F, F = precision +
-    64, by the ladder over the bits of n (most significant first) that
-    carries the pair (T_k, T_k+1) to (T_2k, T_2k+1) or (T_2k+1, T_2k+2) with
+    64 (the conversion of :mod:`unityroot.fixed`), by the ladder over the
+    bits of n (most significant first) that carries the pair (T_k, T_k+1)
+    to (T_2k, T_2k+1) or (T_2k+1, T_2k+2) with
 
         T_2k = 2 T_k^2 - 1,    T_2k+1 = 2 T_k T_k+1 - x.
 
-    Error bound, with u = 2**-F: x enters with error below u (a floor for
-    |x| < 2**-64, exact otherwise), each doubled product is floored with
+    Error bound, with u = 2**-F: x enters with error below u (truncated
+    for |x| < 2**-64, exact otherwise), each doubled product is floored with
     error below u, and as |T_k| <= 1 on [-1, 1] a step turns pair errors of
     at most e into at most 4e + 2e^2 + 2u.  While e <= 2**-34 the e^2 term
     adds a factor below 1 + 2**-33 per step, so after the L = n.bit_length()
@@ -226,7 +225,7 @@ def _arc_exclusion_ok(zeta: Zeta, n: int) -> bool:
     that passes is above the floor in exact arithmetic.
     """
     prec = zeta.precision
-    frac = prec + 64
+    frac = fixed.frac_bits(prec)
     limit = (1 << (frac + 2 * _EXCLUSION_FLOOR_EXP)) + (1 << 2 * (n.bit_length() + 1))
     one = HPReal.one(prec)
     intervals = (

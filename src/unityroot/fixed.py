@@ -1,0 +1,152 @@
+"""Fixed-point complex kernel on scaled integer pairs.
+
+A real x is held as the integer X = x * 2**frac, a complex value as the pair
+(re, im) of such integers.  Products are exact integer products truncated
+once by a floor shift, so every operation here is a field operation on
+integers.  The solver's Newton stage and residual bound run on these
+helpers and round back to :class:`HPReal` once, at the end; the
+certificate's arc exclusion takes its conversion from here.
+
+Working at frac = precision + GUARD_BITS fraction bits leaves 64 bits below
+the last bit a result keeps, so a value whose error is a few units of
+2**-frac rounds correctly unless it lies within 2**-60 ulp of a tie
+(Ziv 1991).  Error analysis: Brent & Zimmermann, *Modern Computer
+Arithmetic*, ch. 1-3.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .errors import DivisionByZero
+from .hpreal import HPReal, round_raw
+
+GUARD_BITS = 64
+
+
+def frac_bits(precision: int) -> int:
+    return precision + GUARD_BITS
+
+
+# ---------------------------------------------------------------------------
+# conversions
+# ---------------------------------------------------------------------------
+
+
+def to_fixed(x: HPReal, frac: int) -> int:
+    """x * 2**frac: exact when frac >= -x.exponent (see exact_frac), else
+    truncated toward zero, an error under one unit."""
+    shift = x.exponent + frac
+    m = x.mantissa << shift if shift >= 0 else x.mantissa >> -shift
+    return -m if x.sign < 0 else m
+
+
+def exact_frac(x: HPReal, frac: int) -> int:
+    """The least frac' >= frac at which to_fixed(x, frac') is exact."""
+    return frac if x.sign == 0 else max(frac, -x.exponent)
+
+
+def to_hpreal(v: int, frac: int, precision: int) -> HPReal:
+    """v * 2**-frac rounded once to `precision` bits, half to even."""
+    if v == 0:
+        return HPReal.zero(precision)
+    s, m, e = round_raw(1 if v > 0 else -1, abs(v), -frac, precision)
+    return HPReal._raw(s, m, e, precision)
+
+
+def to_hpreal_up(v: int, frac: int, precision: int) -> HPReal:
+    """v * 2**-frac for v >= 0 rounded once upward to `precision` bits."""
+    if v == 0:
+        return HPReal.zero(precision)
+    drop = max(v.bit_length() - precision, 0)
+    keep = -(-v >> drop)
+    if keep.bit_length() > precision:  # carried into 2**precision: exact
+        keep >>= 1
+        drop += 1
+    return HPReal._raw(1, keep << (precision - keep.bit_length()),
+                       drop - frac - (precision - keep.bit_length()), precision)
+
+
+# ---------------------------------------------------------------------------
+# complex arithmetic on integer pairs
+# ---------------------------------------------------------------------------
+
+
+def mul(a: tuple, b: tuple, frac: int) -> tuple:
+    """a * b, each component floored: error below one unit per component."""
+    ar, ai = a
+    br, bi = b
+    return (ar * br - ai * bi) >> frac, (ar * bi + ai * br) >> frac
+
+
+def power(a: tuple, n: int, frac: int) -> tuple:
+    """a**n for n >= 0 by binary powering, most significant bit first; within
+    power_error(a, n, frac) units of the exact power of the pair a.
+
+    Squares and steps by a are floored per component as :func:`mul` floors
+    them (the square's real part as (x + y)(x - y), its imaginary part as
+    x y >> frac - 1, the floor of 2 x y >> frac); they are written out here
+    because the ladder is the kernel's inner loop.
+    """
+    if n == 0:
+        return 1 << frac, 0
+    ar, ai = a
+    xr, xi = a
+    half = frac - 1
+    for bit in bin(n)[3:]:
+        xr, xi = ((xr + xi) * (xr - xi)) >> frac, (xr * xi) >> half
+        if bit == "1":
+            xr, xi = (xr * ar - xi * ai) >> frac, (xr * ai + xi * ar) >> frac
+    return xr, xi
+
+
+def power_error(a: tuple, n: int, frac: int) -> int:
+    """An upper bound, in units u = 2**-frac, on |power(a, n) - a**n|.
+
+    Claim: with W = max(1, |a|), every power a**m the ladder forms (m <= n)
+    carries an error e_m <= 2 (m - 1) u W**(m - 1), provided n**2 u <= 1/2.
+
+    Proof by induction over the ladder.  e_1 = 0: the pair a is exact.  Each
+    later value is the floored product of computed a**i and a**j (i + j = m;
+    i = j for a square, j = 1 for a step by a itself).  Flooring moves each
+    component by less than u, so by less than sqrt(2) u in modulus, and
+    |a**i| <= W**i, hence
+
+        e_m <= W**i e_j + W**j e_i + e_i e_j + sqrt(2) u
+            <= 2 (m - 2) u W**(m - 1) + e_i e_j + sqrt(2) u.
+
+    As (i - 1)(j - 1) <= m**2 / 4 and W >= 1, e_i e_j <= m**2 u**2 W**(m - 1)
+    <= u W**(m - 1) / 2, and sqrt(2) + 1/2 < 2, which closes the step.
+
+    The premise holds for every n < 2**47 at frac >= 96 (precision >= 32).
+    W**(n - 1) is evaluated on integers scaled by 2**64 with every rounding
+    upward, starting from an upper bound of W, so the value returned is at
+    or above the claimed bound.
+    """
+    if n <= 1:
+        return 0
+    g = 64
+    ar, ai = a
+    w2 = max(-(-(ar * ar + ai * ai) >> (2 * (frac - g))), 1 << (2 * g))
+    w = math.isqrt(w2)
+    if w * w < w2:
+        w += 1
+    p = w
+    for bit in bin(n - 1)[3:]:
+        p = -(-(p * p) >> g)
+        if bit == "1":
+            p = -(-(p * w) >> g)
+    return -(-(2 * (n - 1) * p) >> g)
+
+
+def newton_step(y: tuple, c: tuple, n: int, frac: int) -> tuple:
+    """The Newton correction (y**n - c) / (n y**(n - 1)) for z**n = c, from
+    one power, one product and one floored complex division."""
+    p = power(y, n - 1, frac)
+    yr, yi = mul(p, y, frac)
+    rr, ri = yr - c[0], yi - c[1]
+    pr, pi = p
+    den = n * (pr * pr + pi * pi)
+    if not den:
+        raise DivisionByZero("Newton step at z = 0")
+    return ((rr * pr + ri * pi) << frac) // den, ((ri * pr - rr * pi) << frac) // den

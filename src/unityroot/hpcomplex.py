@@ -1,8 +1,10 @@
 """Complex arithmetic over :class:`HPReal` pairs.
 
 Multiplication, conjugation, modulus and integer powers are the only
-primitives the construction needs; division is provided for the solver's
-Newton steps.  The modulus uses the square root, nothing else transcendental.
+primitives the construction needs; division completes the field operations
+(the DFT divides by n).  The solver's Newton stage runs on scaled integers in
+:mod:`unityroot.fixed` instead.  The modulus uses the square root, nothing
+else transcendental.
 
 Products, norms and powers run on the integer mantissas directly
 (:func:`_product`), with no intermediate ``HPReal`` objects.  Each partial

@@ -5,10 +5,12 @@ After an exact power-of-two reduction of c, Aberth's simultaneous method
 binary64 from the rotation seeds u, u^2, ..., u^n, u = g/|g| with
 g = 0.4 + 0.9i: unit-circle points at irrational angles, which break the
 symmetry that stalls exact-circle seeds on z**n - 1.  The settled estimates
-are lifted exactly into high-precision values and driven to the final
-tolerance by simultaneous Newton sweeps plus one closing polish step per
-root.  Every stage is a pure function of (c, n, precision), so repeated
-calls are bit-identical.
+enter the fixed-point kernel (:mod:`unityroot.fixed`) exactly and are driven
+to the final tolerance by simultaneous Newton sweeps plus one closing polish
+step per root, on integer pairs with 64 guard bits; each component is
+rounded once at the end.  The residual bound of every root set is a proven
+upper bound evaluated in the same kernel.  Every stage is a pure function of
+(c, n, precision), so repeated calls are bit-identical.
 
 The same Newton loop, run from one seed, gives ``roots_of`` its root
 (:func:`newton_root`), and :func:`assemble_rootset` checks, orders and bounds
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fixed
 from .errors import InvalidN, NoConvergence, ZeroTarget
 from .hpcomplex import HPComplex, lift_complex
 from .hpreal import HPReal
@@ -168,70 +171,133 @@ def _scale2(z: HPComplex, k: int) -> HPComplex:
     return HPComplex(z.re.scale2(k), z.im.scale2(k))
 
 
-def _newton_delta(z: HPComplex, c: HPComplex, n: int) -> HPComplex:
-    zp = z.pow(n - 1)
-    pz = zp * z - c
-    return pz / (zp * n)
+def _pair(z: HPComplex, frac: int) -> tuple:
+    return fixed.to_fixed(z.re, frac), fixed.to_fixed(z.im, frac)
 
 
-def _newton(zs: list, c: HPComplex, n: int, k: int, precision: int,
+def _newton(seeds: list, c: HPComplex, n: int, k: int, precision: int,
             sweep_budget: int) -> list:
-    """Simultaneous Newton sweeps until no root moves by more than
-    2**(k - 3*precision/4), relative to the roots' scale 2**k, then one
-    closing polish step per root."""
-    disp_tol2 = HPReal.pow2(-(3 * precision) // 4 + k, precision)
-    disp_tol2 = disp_tol2 * disp_tol2
+    """Simultaneous Newton sweeps from the machine-complex seeds, roots of
+    z**n = c scaled by 2**-k, until no root moves by more than
+    2**(-3*precision/4), then one closing polish step per root.
+
+    The sweeps run in the fixed-point kernel on integer pairs at
+    frac = precision + 64 fraction bits (the seeds enter exactly, c / 2**(k n)
+    truncated below 2**-frac), and each component is rounded once at the end.
+    """
+    frac = fixed.frac_bits(precision)
+    cs = _pair(c, frac - k * n)
+    ys = [_pair(lift_complex(s, 53), frac) for s in seeds]
+    tol2 = 1 << 2 * (frac + (-(3 * precision)) // 4)
     for _ in range(sweep_budget):
-        deltas = [_newton_delta(z, c, n) for z in zs]
-        zs = [z - d for z, d in zip(zs, deltas)]
-        worst = max((d.abs2() for d in deltas))
-        if worst <= disp_tol2:
+        steps = [fixed.newton_step(y, cs, n, frac) for y in ys]
+        ys = [(y[0] - d[0], y[1] - d[1]) for y, d in zip(ys, steps)]
+        if max(d[0] * d[0] + d[1] * d[1] for d in steps) <= tol2:
             break
     else:
         raise NoConvergence(f"newton sweeps exhausted for n={n}")
     # contractual final polish step, decoupled from sweep geometry
-    zs = [z - _newton_delta(z, c, n) for z in zs]
-    return zs
+    out = []
+    for y in ys:
+        d = fixed.newton_step(y, cs, n, frac)
+        out.append(HPComplex(fixed.to_hpreal(y[0] - d[0], frac - k, precision),
+                             fixed.to_hpreal(y[1] - d[1], frac - k, precision)))
+    return out
+
+
+def _pow2_frac(g: int, n: int) -> float:
+    """2**(g/n) for 0 <= g < n in binary64: each binary digit of g/n selects
+    a factor 2**(2**-i), which is i square roots of 2."""
+    out, root = 1.0, 2.0
+    for _ in range(53):
+        root = math.sqrt(root)
+        g *= 2
+        if g >= n:
+            g -= n
+            out *= root
+    return out
 
 
 def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     """One n-th root of c != 0 by the solver's Newton loop.
 
-    The seed has modulus 2**(k + 1), at or above every root's, and the
-    direction u**j of the rotation seeds for the first j >= 1 with
-    Re(u**(j*n) * conj(c/|c|)) >= 1/2: its n-th power lies within 60 degrees
-    of c.  The direction is found in binary64 by binary powering alone.
+    The seed comes from binary64 Newton steps on w**n = t, t = c / 2**s with
+    s = top // 2, so 2**-1/2 <= |t| < 2**1/2: they start on the unit circle
+    at the direction u**j of the rotation seeds for the first j >= 1 with
+    Re(u**(j*n) * conj(t)) >= |t|/2, whose n-th power lies within 60 degrees
+    of t, and stop once a step moves w by at most 2**-40.  The root of the
+    reduced target c / 2**(k n) is then 2**(g/n) w, g = s - k n.  Binary
+    powering and square roots only; the fixed-point sweeps start within
+    about 2**-45 of the root.
     """
     top, k = _root_scale(c, n)
-    toward = _scale2(c, -(top // 2)).to_complex().conjugate()  # |toward| ~ 1
+    s = top // 2
+    t = _scale2(c, -s).to_complex()
     step = complex(_pow(_ROTATION, n))
-    d, dn = _ROTATION, step
-    while (dn * toward).real < 0.5 * abs(toward):
-        d, dn = d * _ROTATION, dn * step
-    seed = _scale2(lift_complex(d, precision), k + 1)
+    w, wn = _ROTATION, step
+    while (wn * t.conjugate()).real < 0.5 * abs(t):
+        w, wn = w * _ROTATION, wn * step
+    for _ in range(64):
+        p = complex(_pow(w, n - 1))
+        d = (p * w - t) / (n * p)
+        w -= d
+        if abs(d) <= 2.0 ** -40:
+            break
+    seed = w * _pow2_frac(s - k * n, n)
     return _newton([seed], c, n, k, precision, 50 + 10 * n)[0]
 
 
-def _residual_bound(zs: list, c: HPComplex, n: int) -> HPReal:
-    worst = HPReal.zero(c.precision)
+def _residual_bound(zs: list, c: HPComplex, n: int, k: int,
+                    precision: int) -> HPReal:
+    """A proven upper bound on |z**n - c| over the roots zs, rounded upward.
+
+    Write y = z / 2**k and c' = c / 2**(k n), so |z**n - c| = 2**(k n)
+    |y**n - c'|.  Both enter the fixed-point kernel exactly: frac starts at
+    precision + 64 and is raised until every component of every y and of c'
+    is a multiple of 2**-frac.  With P = fixed.power(y, n) and all values
+    in units of 2**-frac,
+
+        |y**n - c'| <= |P - c'| + |P - y**n|
+                    <= ceil(sqrt(|P - c'|**2)) + fixed.power_error(y, n),
+
+    where |P - c'|**2 is an exact integer and the second term is the
+    kernel's proven bound on its own power (derived in
+    :func:`fixed.power_error`).  The largest such integer N over the roots
+    gives |z**n - c| <= N * 2**(k n - frac), which is rounded upward once.
+    """
+    frac = fixed.frac_bits(precision)
+    for v in (c.re, c.im):
+        frac = fixed.exact_frac(v, frac - k * n) + k * n
     for z in zs:
-        r = abs(z.pow(n) - c)
+        for v in (z.re, z.im):
+            frac = fixed.exact_frac(v, frac - k) + k
+    cr, ci = _pair(c, frac - k * n)
+    worst = 0
+    for z in zs:
+        y = _pair(z, frac - k)
+        pr, pi = fixed.power(y, n, frac)
+        norm = (pr - cr) ** 2 + (pi - ci) ** 2
+        r = math.isqrt(norm)
+        r += (r * r < norm) + fixed.power_error(y, n, frac)
         if r > worst:
             worst = r
-    return worst
+    return fixed.to_hpreal_up(worst, frac - k * n, precision)
 
 
 def _collapsed_pair(zs: list, precision: int):
-    """The first pair of roots closer than 2**(-precision/4), or None.
+    """The first pair of roots closer than the distinctness floor 2**-e,
+    e = max(precision // 4, n.bit_length() + 1), or None.  The floor stays
+    below the spacing 2 sin(pi/n) >= 4/n of the n-th roots of unity.
     Screening runs in binary64, suspects are re-measured in high precision."""
     n = len(zs)
     if n < 2:
         return None
+    e = max(precision // 4, n.bit_length() + 1)
     approx = np.array([z.to_complex() for z in zs])
     dist = np.abs(approx[:, None] - approx[None, :]) + np.eye(n) * 4.0
-    band = max(2.0 ** (-(precision // 4)) * 4.0, 1e-12)
+    band = max(2.0 ** -e * 4.0, 1e-12)
     su, sv = np.nonzero(dist < band)
-    thr2 = HPReal.pow2(-(precision // 4), precision)
+    thr2 = HPReal.pow2(-e, precision)
     thr2 = thr2 * thr2
     for u, v in zip(su, sv):
         if u < v and (zs[u] - zs[v]).abs2() <= thr2:
@@ -259,10 +325,10 @@ def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
     """The RootSet of the n roots zs of z**n = c: checked, ordered, bounded.
 
     Floor, band and target are relative to the roots' scale 2**k: roots
-    closer than 2**(k - precision/4) mean the solve failed (they are never
-    merged), the real band of the order is 2**k * contract_tol, and the
-    residual bound must be at most 2**((top + 1) // 2) * contract_tol,
-    about |c| * 2**(-precision/2).
+    closer than 2**k times the distinctness floor of :func:`_collapsed_pair`
+    mean the solve failed (they are never merged), the real band of the
+    order is 2**k * contract_tol, and the residual bound must be at most
+    2**((top + 1) // 2) * contract_tol, about |c| * 2**(-precision/2).
     """
     top, k = _root_scale(c, n)
     pair = _collapsed_pair([_scale2(z, -k) for z in zs], precision)
@@ -271,7 +337,7 @@ def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
             f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
     tol = contract_tol(precision)
     zs = _sort_roots(zs, tol.scale2(k))
-    bound = _residual_bound(zs, c, n)
+    bound = _residual_bound(zs, c, n, k, precision)
     if bound > tol.scale2((top + 1) // 2):
         raise NoConvergence(
             f"residual bound {bound.to_float():.3g} above target for n={n}")
@@ -291,8 +357,8 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
     if not (math.isfinite(cf.real) and math.isfinite(cf.imag)):
         raise NoConvergence("target magnitude outside the supported range")
     floats, used = _float_stage(n, cf, cap - _HP_SWEEP_RESERVE)
-    zs = [_scale2(lift_complex(complex(v), precision), k) for v in floats]
-    zs = _newton(zs, c, n, k, precision, min(_HP_SWEEP_RESERVE, cap - used))
+    zs = _newton([complex(v) for v in floats], c, n, k, precision,
+                 min(_HP_SWEEP_RESERVE, cap - used))
     return assemble_rootset(zs, c, n, precision)
 
 
@@ -305,14 +371,20 @@ def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet
     """All n solutions of z**n = 1, deterministically ordered.
 
     The residual bound is at most 2**(-precision/2); on the unit circle every
-    root additionally satisfies | |z| - 1 | <= residual_bound.
+    root additionally satisfies | |z| - 1 | <= residual_bound.  That is
+    decided exactly: |z|**2 of a dyadic z is an exact integer multiple of
+    2**(-2 frac), and | |z|**2 - 1 | <= bound implies | |z| - 1 | <= bound.
     """
     if use_cache and (n, precision) in _unity_cache:
         return _unity_cache[(n, precision)]
     out = _solve(HPComplex.one(precision), n, precision)
     for z in out.roots:
-        off = abs(z) - HPReal.one(precision)
-        if abs(off) > out.residual_bound:
+        frac = max(fixed.exact_frac(z.re, 0), fixed.exact_frac(z.im, 0))
+        x, y = _pair(z, frac)
+        gap = abs(x * x + y * y - (1 << 2 * frac))  # | |z|^2 - 1 | 4**frac
+        # exact: the precision holds every bit of gap
+        off = fixed.to_hpreal(gap, 2 * frac, max(gap.bit_length(), 32))
+        if off > out.residual_bound:
             raise NoConvergence("root drifted off the unit circle")
     if use_cache:
         _unity_cache[(n, precision)] = out

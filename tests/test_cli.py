@@ -198,6 +198,12 @@ class TestErrorsAndFormats:
         assert code == EXIT_OK
         assert solve_unity(int(argv[2])).residual_bound <= HPReal.pow2(-64)
 
+    def test_roots_at_33_bits_succeeds(self, capsys):
+        # n = 32 at 33 bits exited 2 on a rounded unit-circle check
+        code, out = run_cli(capsys, "roots", "--n", "32", "--precision", "33")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["roots"]) == 32
+
     def test_no_convergence_is_numerical_error(self, capsys, monkeypatch):
         def fail(n, precision):
             raise NoConvergence(f"newton sweeps exhausted for n={n}")

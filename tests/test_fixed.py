@@ -1,0 +1,92 @@
+"""The fixed-point kernel against exact integer arithmetic."""
+
+from fractions import Fraction
+
+import pytest
+
+from unityroot import HPReal, fixed
+from conftest import exact
+
+FRAC = 128 + fixed.GUARD_BITS
+ONE = 1 << FRAC
+
+
+def exact_power(a, n):
+    """(A + iB)**n in exact integers, for a pair scaled by 2**FRAC the result
+    is scaled by 2**(FRAC * n)."""
+    out = (1, 0)
+    for _ in range(n):
+        out = (out[0] * a[0] - out[1] * a[1], out[0] * a[1] + out[1] * a[0])
+    return out
+
+
+BASES = [
+    (0, 0), (ONE, 0), (-ONE, 0), (0, ONE), (0, -ONE), (ONE, ONE),
+    # unit-scale values with full-width fractions, one just outside |a| = 1
+    ((ONE * 3) // 5 + 12345, (ONE * 4) // 5 - 6789),
+    (-(ONE * 7) // 10, (ONE * 5) // 7),
+    ((ONE * 1001) // 1000, -(ONE // 3)),
+]
+
+
+@pytest.mark.parametrize("a", BASES)
+def test_power_within_derived_error_bound(a):
+    for n in list(range(1, 40)) + [63, 64, 65, 127, 128, 200, 255, 299, 300]:
+        got = fixed.power(a, n, FRAC)
+        want = exact_power(a, n)
+        bound = fixed.power_error(a, n, FRAC)
+        # |got - want / 2**(FRAC (n - 1))| <= bound, compared squared
+        scale = 1 << (FRAC * (n - 1))
+        dr, di = got[0] * scale - want[0], got[1] * scale - want[1]
+        assert dr * dr + di * di <= (bound * scale) ** 2, (a, n)
+
+
+def test_power_of_gaussian_integers_is_exact():
+    # 0, +-1, +-i and 1 + i have Gaussian-integer powers: no floor drops a bit
+    for a in BASES[:6]:
+        assert fixed.power(a, 0, FRAC) == (ONE, 0)
+        for n in range(1, 20):
+            want = exact_power(a, n)
+            assert fixed.power(a, n, FRAC) == (want[0] >> (FRAC * (n - 1)),
+                                               want[1] >> (FRAC * (n - 1)))
+
+
+def test_error_bound_grows_with_n_and_modulus():
+    unit = (ONE, 0)
+    assert fixed.power_error(unit, 1, FRAC) == 0
+    small = fixed.power_error(unit, 300, FRAC)
+    assert 2 * 299 <= small <= 2 * 299 + 1
+    assert fixed.power_error((2 * ONE, 0), 300, FRAC) > small << 298
+
+
+def test_to_fixed_exact_and_truncating():
+    x = HPReal.from_ratio(-5, 3)
+    f = fixed.exact_frac(x, 10)
+    assert Fraction(fixed.to_fixed(x, f), 1 << f) == exact(x)
+    # below the exact scale the low bits are cut toward zero
+    t = fixed.to_fixed(x, 10)
+    assert t == -int(-exact(x) * 1024)
+    assert fixed.to_fixed(HPReal.zero(), 50) == 0
+    assert fixed.exact_frac(HPReal.zero(), 7) == 7
+
+
+def test_rounding_back_is_once_and_to_nearest_even():
+    frac = 200
+    for v in (1, -1, 3 << 150, (1 << 140) + (1 << 11) + 1, -(1 << 140) - (3 << 11),
+              (1 << 140) + (1 << 12), (1 << 140) + (3 << 12)):
+        got = fixed.to_hpreal(v, frac, 128)
+        assert got == HPReal.from_ratio(v, 1 << frac, 128)
+
+
+def test_upward_rounding_is_an_upper_bound_within_one_ulp():
+    frac = 200
+    for v in (1, (1 << 128) - 1, (1 << 128) + 1, (1 << 140) - 1, (1 << 150) + 12345):
+        got = exact(fixed.to_hpreal_up(v, frac, 128))
+        val = Fraction(v, 1 << frac)
+        assert val <= got < val * (1 + Fraction(1, 1 << 127))
+    assert fixed.to_hpreal_up(0, frac, 128).is_zero()
+
+
+def test_newton_step_degree_one_is_exact():
+    y, c = (ONE * 3, -ONE // 7), (ONE // 5, ONE)
+    assert fixed.newton_step(y, c, 1, FRAC) == (y[0] - c[0], y[1] - c[1])

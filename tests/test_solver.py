@@ -3,8 +3,9 @@ import pytest
 from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
                        ZeroTarget, cofactor_eval, roots_of, simple_zero_check,
                        solve_binomial, solve_unity)
+from unityroot import fixed
 from unityroot.oracle import trig_root, zeta_matches_trig
-from unityroot.solver import _float_stage
+from unityroot.solver import _float_stage, assemble_rootset, newton_root
 from conftest import exact
 
 # the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
@@ -244,3 +245,96 @@ def test_root_values_are_exact_dyadics_of_reported_precision():
         assert z.re.precision == 128
         # exact() never raises: the values really are dyadic rationals
         exact(z.re), exact(z.im)
+
+
+def residual_within(z, c, n, bound):
+    """|z**n - c| <= bound, decided exactly: every dyadic is held as an
+    integer times a power of two."""
+    def ints(w):
+        e = min((v.exponent for v in (w.re, w.im) if v.sign), default=0)
+        return ([v.sign * v.mantissa << (v.exponent - e) if v.sign else 0
+                 for v in (w.re, w.im)], e)
+
+    (x, y), ez = ints(z)
+    (cr, ci), ec = ints(c)
+    pr, pi, k = 1, 0, n
+    while k:
+        if k & 1:
+            pr, pi = pr * x - pi * y, pr * y + pi * x
+        k >>= 1
+        if k:
+            x, y = x * x - y * y, 2 * x * y
+    e = min(n * ez, ec)
+    dr = (pr << (n * ez - e)) - (cr << (ec - e))
+    di = (pi << (n * ez - e)) - (ci << (ec - e))
+    # dr**2 + di**2 times 4**e against bound**2 = m**2 times 4**eb
+    m, eb = bound.mantissa, bound.exponent
+    return (dr * dr + di * di) << max(2 * (e - eb), 0) <= m * m << max(2 * (eb - e), 0)
+
+
+BOUND_TARGETS = [
+    HPComplex.one(), HPComplex.from_int(-7, 3),
+    HPComplex(HPReal.from_int(3).scale2(1000), HPReal.pow2(1000)),
+    HPComplex(HPReal.from_int(3).scale2(-1000), HPReal.pow2(-1000)),
+]
+
+
+class TestFixedPointStage:
+    @pytest.mark.parametrize("solve", [solve_binomial, roots_of])
+    def test_residual_bound_is_an_upper_bound(self, solve):
+        # the bound of the returned, rounded roots, against their exact residual
+        short = []
+        for c in BOUND_TARGETS:
+            for n in range(1, 65):
+                rs = solve(c, n)
+                if not all(residual_within(z, c, n, rs.residual_bound)
+                           for z in rs.roots):
+                    short.append((c.to_complex(), n))
+        assert not short
+
+    def test_solve_unity_32_at_33_bits(self):
+        # every z**32 rounds to 1 at 33 bits; the rounded | |z| - 1 | was
+        # compared with a bound of 0 and 8 correct roots were rejected
+        rs = solve_unity(32, precision=33, use_cache=False)
+        assert len(rs.roots) == 32
+        assert rs.residual_bound <= HPReal.pow2(-16, 33)
+
+    def test_solve_unity_2048_at_32_bits(self):
+        # the spacing 2 sin(pi/2048) lies below the old floor 2**-8
+        rs = solve_unity(2048, precision=32, use_cache=False)
+        assert len(rs.roots) == 2048
+
+    def test_collapsed_pair_is_still_rejected(self):
+        rs = solve_unity(12, use_cache=False)
+        doubled = list(rs.roots[:11]) + [rs.roots[3]]
+        with pytest.raises(NoConvergence, match="collapsed"):
+            assemble_rootset(doubled, rs.target, 12, 128)
+        near = rs.roots[3] + HPComplex(HPReal.pow2(-40), HPReal.zero())
+        with pytest.raises(NoConvergence, match="collapsed"):
+            assemble_rootset(list(rs.roots[:11]) + [near], rs.target, 12, 128)
+
+    def test_newton_root_takes_a_bounded_number_of_kernel_steps(self, monkeypatch):
+        # seeded from the linear phase the loop took ~0.7 n steps (94 at n = 128)
+        calls = []
+        step = fixed.newton_step
+
+        def counted(*args):
+            calls.append(args[2])
+            return step(*args)
+
+        monkeypatch.setattr(fixed, "newton_step", counted)
+        worst = 0
+        for c in BOUND_TARGETS + [HPComplex.i(), HPComplex.from_int(-1)]:
+            for n in (1, 2, 3, 5, 7, 64, 100, 128, 255, 256, 511, 777, 1023, 1024):
+                calls.clear()
+                newton_root(c, n, 128)
+                worst = max(worst, len(calls))
+        assert worst <= 4
+
+    def test_fresh_solves_are_bit_identical(self):
+        for n, precision in ((100, 128), (33, 33), (64, 256)):
+            assert solve_unity(n, precision, use_cache=False).bit_identical(
+                solve_unity(n, precision, use_cache=False))
+        c = HPComplex.from_int(-7, 3)
+        assert solve_binomial(c, 20).bit_identical(solve_binomial(c, 20))
+        assert roots_of(c, 20).bit_identical(roots_of(c, 20))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from unityroot import (AmbiguousMinimizer, HPComplex, HPReal, InvalidN,
@@ -143,3 +144,23 @@ def test_alternate_precision():
     z = construct_zeta(6, precision=192)
     assert z.precision == 192
     assert abs(exact(z.a) - Fraction(1, 2)) <= Fraction(1, 2 ** 180)
+
+
+def test_even_zeta_is_correctly_rounded():
+    # the fixed-point Newton stage keeps 64 guard bits below the last bit of
+    # each root, so the components of zeta(n) are cos and sin (2 pi / n)
+    # rounded to nearest (0.57 ulp off at n = 6 before it)
+    worst = Fraction(0)
+    with mpmath.workprec(400):
+        for n in range(6, 151, 2):
+            z = construct_zeta(n)
+            angle = 2 * mpmath.pi / n
+            for got, want in ((z.a, mpmath.cos(angle)), (z.b, mpmath.sin(angle))):
+                man, exp = want.man_exp
+                ref = Fraction(man) * Fraction(2) ** exp
+                top = ref.numerator.bit_length() - ref.denominator.bit_length()
+                if Fraction(2) ** top > ref:
+                    top -= 1
+                ulp = Fraction(2) ** (top - 127)  # of a 128-bit value at ref
+                worst = max(worst, abs(exact(got) - ref) / ulp)
+    assert worst <= Fraction(1, 2), float(worst)
