@@ -10,22 +10,25 @@ which are strictly increasing mutual inverses.  Iterating advance_re from
 x_0 = 1 produces the strictly decreasing descent sequence x_k = Re(zeta^k),
 which must land exactly on -1 after p = n/2 steps; the certificate records
 that together with the interval partition, the reconstruction of all n roots
-from powers and conjugates, and a sampled check that the outer arcs contain
-no further roots.
+from powers and conjugates, and a proof that the outer arcs contain no
+further roots.
 
 sqrt(1 - x^2) is evaluated as sqrt((1-x)*(1+x)) to avoid cancellation near
 the endpoints.
 
-The sampled arc check needs no square root: on the unit circle
-|z^n - 1|^2 = 2 (1 - Re z^n) = 2 (1 - T_n(x)) with T_n the Chebyshev
-polynomial, which it evaluates on exact fixed-point integers by real-part
-doubling (T_2k = 2 T_k^2 - 1, T_2k+1 = 2 T_k T_k+1 - x) within
-4**(n.bit_length() + 1) units of 2**-(precision + 64); the derivation is in
-``_arc_exclusion_ok``.
+The last two checks read one table of powers P_k ~ zeta^k, k = 0..p, formed
+on integer pairs by :func:`unityroot.fixed.powers`.  The arc exclusion is
+Smale's alpha-test on z^n - 1 at the dyadic zeta (Smale 1986, *Newton's
+method estimates from data at one point*; Blum, Cucker, Shub & Smale 1998,
+*Complexity and Real Computation*, ch. 8): it proves an exact n-th root of
+unity omega next to zeta, and the descent's gaps then prove
+omega = e^(2 pi i/n).  The derivation is in ``_arc_exclusion_ok``; it uses
+integer arithmetic only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from . import fixed
@@ -35,12 +38,9 @@ from .hpreal import HPReal
 from .solver import RootSet, contract_tol
 from .zeta import Zeta
 
-# margin for the sampled arc exclusion, calibrated so the thousand-point
-# grids stay above it for every even n: the grid value closest to a root is
-# ~ pi/1001 at the zeta-adjacent end (see the derivation in the tests)
-_EXCLUSION_FLOOR_EXP = -9
-
-_GRID_POINTS = 1000
+# the alpha-test accepts alpha < 2**-_ALPHA_EXP, far below the alpha_0 of
+# Smale's alpha-theorem (see _arc_exclusion_ok)
+_ALPHA_EXP = 6
 
 
 def _semicircle_height(x: HPReal) -> HPReal:
@@ -157,93 +157,116 @@ class ZetaCertificate:
     tolerance: HPReal
 
 
-def _reconstruction_ok(zeta: Zeta, xs, p: int, rootset: RootSet, tol: HPReal) -> bool:
-    """The multiset {zeta^0..zeta^p, conj(zeta^1)..conj(zeta^(p-1))} must
-    match the solved roots one-to-one within tol, and each x_k must equal
-    Re(zeta^k) within tol."""
-    w = zeta.as_complex()
-    powers = [w.pow(k) for k in range(p + 1)]
-    for k in range(min(p, len(xs) - 1) + 1):
-        if abs(xs[k] - powers[k].re) > tol:
-            return False
-    candidates = powers + [powers[k].conj() for k in range(1, p)]
-    if len(candidates) != rootset.n:
+def _scaled_powers(zeta: Zeta, xs, m: int) -> tuple:
+    """(frac, X, P): frac = precision + 64, raised until a, b and every x_k
+    convert exactly; X the integers x_k * 2**frac; P = [P_0, ..., P_m], the
+    powers of w = a + ib from :func:`unityroot.fixed.powers`."""
+    frac = fixed.frac_bits(zeta.precision)
+    for v in (zeta.a, zeta.b, *xs):
+        frac = fixed.exact_frac(v, frac)
+    w = (fixed.to_fixed(zeta.a, frac), fixed.to_fixed(zeta.b, frac))
+    return frac, [fixed.to_fixed(x, frac) for x in xs], fixed.powers(w, m, frac)
+
+
+def _reconstruction_ok(p: int, frac: int, xs: list, pw: list,
+                       rootset: RootSet, tol: HPReal) -> bool:
+    """Each x_k must equal Re(zeta^k) within tol, and zeta^1..zeta^(p-1),
+    then 1 and -1, then conj(zeta^1)..conj(zeta^(p-1)) must match the solved
+    roots one-to-one within tol, in that order: the order the solver
+    documents (upper half plane, real band, lower half plane, each by
+    descending real part).  One pass over both lists; root components enter
+    truncated to units of 2**-frac."""
+    if 2 * p != rootset.n:
         return False
-    tol2 = tol * tol
-    used = [False] * rootset.n
-    for cand in candidates:
-        hit = None
-        for idx, root in enumerate(rootset.roots):
-            if not used[idx] and (cand - root).abs2() <= tol2:
-                hit = idx
-                break
-        if hit is None:
+    t = fixed.to_fixed(tol, frac)
+    if any(abs(x - re) > t for x, (re, _) in zip(xs, pw)):
+        return False
+    upper = pw[1:p]
+    candidates = upper + [pw[0], pw[p]] + [(re, -im) for re, im in upper]
+    for (cr, ci), z in zip(candidates, rootset.roots):
+        dr = cr - fixed.to_fixed(z.re, frac)
+        di = ci - fixed.to_fixed(z.im, frac)
+        if dr * dr + di * di > t * t:
             return False
-        used[hit] = True
-    return all(used)
-
-
-def _gap2_scaled(x: HPReal, n: int, frac: int) -> int:
-    """|z^n - 1|^2 = 2 (1 - T_n(x)) for z = x + i*sqrt(1-x^2), times 2**frac,
-    by the fixed-point doubling ladder; within 4**(n.bit_length() + 1) units
-    of the exact value for |x| <= 1 (derived in :func:`_arc_exclusion_ok`)."""
-    fx = fixed.to_fixed(x, frac)
-    unit = 1 << frac
-    c0, c1 = unit, fx  # (T_k, T_k+1) from k = 0, one step per bit of n
-    for bit in bin(n)[2:]:
-        if bit == "1":
-            c0, c1 = (c0 * c1 >> frac - 1) - fx, (c1 * c1 >> frac - 1) - unit
-        else:
-            c0, c1 = (c0 * c0 >> frac - 1) - unit, (c0 * c1 >> frac - 1) - fx
-    return 2 * (unit - c0)
-
-
-def _arc_exclusion_ok(zeta: Zeta, n: int) -> bool:
-    """Sampled check that the open arcs over (a, 1 - 2**-20) and (-1, -a)
-    contain no n-th root of unity: every grid point must keep |z^n - 1|
-    above the calibrated floor.  A sampled check, not a proof.
-
-    The grid points x are accumulated in ``HPReal``.  For z = x + i*sqrt(1-x^2)
-    on the unit circle, |z^n - 1|^2 = 2 - 2 Re(z^n) = 2 (1 - T_n(x)) exactly,
-    with T_n the Chebyshev polynomial, so no square root or power of z is
-    needed.  T_n(x) is evaluated on integers scaled by 2**F, F = precision +
-    64 (the conversion of :mod:`unityroot.fixed`), by the ladder over the
-    bits of n (most significant first) that carries the pair (T_k, T_k+1)
-    to (T_2k, T_2k+1) or (T_2k+1, T_2k+2) with
-
-        T_2k = 2 T_k^2 - 1,    T_2k+1 = 2 T_k T_k+1 - x.
-
-    Error bound, with u = 2**-F: x enters with error below u (truncated
-    for |x| < 2**-64, exact otherwise), each doubled product is floored with
-    error below u, and as |T_k| <= 1 on [-1, 1] a step turns pair errors of
-    at most e into at most 4e + 2e^2 + 2u.  While e <= 2**-34 the e^2 term
-    adds a factor below 1 + 2**-33 per step, so after the L = n.bit_length()
-    steps e < 2 * 4**L * u, and 2 (1 - T_n(x)) is known to within
-    4**(L + 1) * u (2**-172 at n = 298 and precision 128).  The premise
-    e <= 2**-34 holds for every n < 2**30 at every precision >= 32.  A point
-    fails when its value is at most floor^2 plus that bound, so every point
-    that passes is above the floor in exact arithmetic.
-    """
-    prec = zeta.precision
-    frac = fixed.frac_bits(prec)
-    limit = (1 << (frac + 2 * _EXCLUSION_FLOOR_EXP)) + (1 << 2 * (n.bit_length() + 1))
-    one = HPReal.one(prec)
-    intervals = (
-        (zeta.a, one - HPReal.pow2(-20, prec)),
-        (-one, -zeta.a),
-    )
-    for lo, hi in intervals:
-        step = (hi - lo) / (_GRID_POINTS + 1)
-        x = lo
-        for _ in range(_GRID_POINTS):
-            x = x + step
-            if _gap2_scaled(x, n, frac) <= limit:
-                return False
     return True
+
+
+def _arc_exclusion_ok(n: int, frac: int, xs: list, pw: list) -> bool:
+    """Proof that w = pw[1] lies next to omega = e^(2 pi i/n), so that no
+    n-th root of unity other than omega and its conjugate lies on the outer
+    arcs, the open arcs from 1 to them.  Everything is decided on integers
+    in units u = 2**-frac: xs are the x_k, pw the powers P_0..P_p of
+    :func:`unityroot.fixed.powers`, and p = n/2.  A short, long or otherwise
+    malformed xs fails the proof; it never raises.
+
+    (0) Premises, checked: 2p = n >= 4, one x_k per power, and
+    d = |a^2 + b^2 - 1| <= 1/(2n).  Then |w| >= 1/2, and for k <= p,
+    |w|^k <= (1 + d)^(k/2) <= 1/(1 - nd/4) <= 8/7, and
+    |w|^(n-1) >= (1 - d)^((n-1)/2) >= 1 - nd/2 >= 3/4 (Bernoulli).  By the
+    error bound of :func:`unityroot.fixed.powers`, P_k is within
+    e_k <= sqrt(2) (8/7) k u < 2 k u of w^k.
+
+    (1) The alpha-theorem (Smale 1986; Blum, Cucker, Shub & Smale 1998,
+    ch. 8): there is a universal constant alpha_0 (about 0.1307 in Smale's
+    paper, (13 - 3 sqrt(17))/4 ~ 0.1577 in the book) such that
+    alpha(f, w) = beta gamma < alpha_0 implies that Newton's method from w
+    converges to a zero omega of f with |w - omega| <= 2 beta, where
+    beta = |f(w) / f'(w)| and
+    gamma = sup_(k>=2) |f^(k)(w) / (k! f'(w))|^(1/(k-1)).
+    The check asks for alpha < 2**-6 ~ 0.0156, far below either value.
+    For f = z^n - 1, f^(k)(w) / (k! f'(w)) = C(n, k) w^(1-k) / n and
+    C(n, k)/n <= (n-1)^(k-1)/k! <= ((n-1)/2)^(k-1), so
+    gamma <= (n-1)/(2|w|) <= n - 1.  As w^n - P_p^2 = (w^p - P_p)(w^p + P_p),
+    |w^n - 1| <= |P_p^2 - 1| + 3nu =: R (nu <= 1/2 holds for every
+    n < 2**95), and beta <= R / (n (3/4)) <= B u with B = ceil(4R / (3nu)).
+    The check asks for 2**6 B (n - 1) u < 1; then omega^n = 1 and
+    |w - omega| <= 2Bu.
+
+    (2) Enclosures: for k <= p, |Re(omega^k) - x_k| is at most
+    |x_k - Re P_k| + e_k + k |w - omega| max(|w|, |omega|)^(k-1), and
+    2 beta p = beta n < 2**-5 from (1), so (1 + 2 beta)^(k-1) <= 32/31 < 2;
+    hence |Re(omega^k) - x_k| <= E_k := |x_k - Re P_k| + k (2 + 4B) u.
+
+    (3) If every gap x_k - x_(k+1) exceeds E_k + E_(k+1) and Im w > 2Bu,
+    the real parts Re(omega^0) > ... > Re(omega^p) strictly decrease and
+    Im omega > 0.  The p + 1 roots omega^k then have p + 1 distinct real
+    parts, and the n-th roots of unity have exactly p + 1 real parts
+    cos(2 pi m/n), m = 0..p, so Re(omega^k) = cos(2 pi k/n) for every k.
+    With Im omega > 0 that is omega = e^(2 pi i/n).  A non-primitive w, or
+    one whose own root lies further round the circle, turns back before
+    step p and fails a gap.
+    """
+    p = len(pw) - 1
+    if p < 2 or 2 * p != n or len(xs) != p + 1:
+        return False
+    one = 1 << frac
+    ar, ai = pw[1]
+    if 2 * n * abs(ar * ar + ai * ai - (one << frac)) > one << frac:
+        return False
+    pr, pi = pw[p]
+    # |P_p^2 - 1|^2 in units of u^4, then |P_p^2 - 1| rounded up to units of u
+    q = (pr * pr - pi * pi - (one << frac)) ** 2 + (2 * pr * pi) ** 2
+    r = math.isqrt(q)
+    if r * r < q:
+        r += 1
+    beta = -(-4 * (-(-r >> frac) + 3 * n) // (3 * n))
+    if (beta * (n - 1)) << _ALPHA_EXP >= one or ai <= 2 * beta:
+        return False
+    step = 2 + 4 * beta
+    enc = [abs(x - re) + k * step for k, (x, (re, _)) in enumerate(zip(xs, pw))]
+    return all(xs[k] - xs[k + 1] > enc[k] + enc[k + 1] for k in range(p))
 
 
 def build_certificate(zeta: Zeta, rootset: RootSet) -> ZetaCertificate:
     """Run the descent and assemble all six checks.
+
+    The first four read the descent alone.  The last two share one table of
+    fixed-point powers of zeta: ``reconstruction_matches`` compares it with
+    the solved roots in one pass, and ``arc_exclusion`` is a proof, not a
+    sample: Smale's alpha-test places an exact n-th root of unity omega
+    next to zeta, and the descent's gaps, wider than the enclosures of
+    Re(omega^k), force omega = e^(2 pi i/n) (Smale 1986; Blum, Cucker, Shub
+    & Smale 1998, ch. 8; derivation in ``_arc_exclusion_ok``).
 
     Raises CertificateFailure (carrying the completed certificate) if any
     check fails; descent-level failures (NonDescent, StepLimit) propagate.
@@ -261,8 +284,9 @@ def build_certificate(zeta: Zeta, rootset: RootSet) -> ZetaCertificate:
     half = 2 * p == zeta.n
     # strictly decreasing steps from exactly 1 down to -1 tile [-1, 1]
     partition = strict and xs[0] == one and endpoint
-    recon = _reconstruction_ok(zeta, xs, p, rootset, tol)
-    exclusion = _arc_exclusion_ok(zeta, zeta.n)
+    frac, scaled, pw = _scaled_powers(zeta, xs, zeta.n // 2)
+    recon = _reconstruction_ok(p, frac, scaled, pw, rootset, tol)
+    exclusion = _arc_exclusion_ok(zeta.n, frac, scaled, pw)
     checks = CertificateChecks(
         strict_descent=strict,
         endpoint_minus_one=endpoint,

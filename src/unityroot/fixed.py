@@ -5,7 +5,7 @@ A real x is held as the integer X = x * 2**frac, a complex value as the pair
 once by a floor shift, so every operation here is a field operation on
 integers.  The solver's Newton stage and residual bound run on these
 helpers and round back to :class:`HPReal` once, at the end; the
-certificate's arc exclusion takes its conversion from here.
+certificate reads its powers of zeta from :func:`powers`.
 
 Working at frac = precision + GUARD_BITS fraction bits leaves 64 bits below
 the last bit a result keeps, so a value whose error is a few units of
@@ -98,6 +98,27 @@ def power(a: tuple, n: int, frac: int) -> tuple:
         if bit == "1":
             xr, xi = (xr * ar - xi * ai) >> frac, (xr * ai + xi * ar) >> frac
     return xr, xi
+
+
+def powers(a: tuple, m: int, frac: int) -> list:
+    """[P_0, ..., P_m], P_k the pair a**k by iterated :func:`mul`; P_k is
+    within e_k <= sqrt(2) k u W**(k - 1) of the exact power of the pair a,
+    with u = 2**-frac and W = max(1, |a|).
+
+    Proof: P_0 = 1 and P_1 = a are exact (a * 2**frac shifted back by frac),
+    so e_0 = e_1 = 0.  P_(k+1) is P_k * a floored per component, which moves
+    it by less than sqrt(2) u, so
+
+        e_(k+1) <= |P_k - a**k| |a| + sqrt(2) u <= W e_k + sqrt(2) u,
+
+    and by induction e_k <= sqrt(2) u (1 + W + ... + W**(k - 1))
+    <= sqrt(2) k u W**(k - 1).  No premise on m or frac is needed: the
+    recurrence is linear in e_k.
+    """
+    out = [(1 << frac, 0)]
+    for _ in range(m):
+        out.append(mul(out[-1], a, frac))
+    return out
 
 
 def power_error(a: tuple, n: int, frac: int) -> int:

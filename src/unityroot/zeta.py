@@ -53,24 +53,27 @@ def select_zeta(rootset: RootSet) -> Zeta:
         raise InvalidN(f"select_zeta expects an even n >= 4, got {rootset.n}")
     prec = rootset.precision
     one = HPComplex.one(prec)
+    # rank by |w - 1|^2: a rounded sqrt never reverses an order, so the two
+    # smallest distances are the square roots of the two smallest squares
     best = None
     second = None
     for w in rootset.roots:
         if not (w.im > rootset.residual_bound):
             continue
-        d = abs(w - one)
-        if best is None or d < best[0]:
+        d2 = (w - one).abs2()
+        if best is None or d2 < best[0]:
             second = best
-            best = (d, w)
-        elif second is None or d < second[0]:
-            second = (d, w)
+            best = (d2, w)
+        elif second is None or d2 < second[0]:
+            second = (d2, w)
     if best is None:
         raise NoUpperRoot(f"no root above the real axis for n={rootset.n}")
+    r = best[0].sqrt()
     tie_gap = HPReal.pow2(-(prec // 4), prec)
-    if second is not None and second[0] - best[0] <= tie_gap:
+    if second is not None and second[0].sqrt() - r <= tie_gap:
         raise AmbiguousMinimizer(
             "two minimizers within the tie tolerance; the solve is suspect")
-    r, w = best
+    w = best[1]
     zero = HPReal.zero(prec)
     one_r = HPReal.one(prec)
     if not (zero < w.re < one_r and zero < w.im < one_r):

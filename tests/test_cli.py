@@ -111,6 +111,12 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["certificate"]["n"] == 18
 
+    def test_n1024_at_32_bits_passes(self, capsys):
+        # the sampled arc check failed this correct zeta and exited 2
+        code, out = run_cli(capsys, "verify", "--n", "1024", "--precision", "32")
+        assert code == EXIT_OK
+        assert json.loads(out)["passed"] is True
+
 
 class TestRootsOfCommand:
     def test_cube_roots_of_minus_eight(self, capsys):

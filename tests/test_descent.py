@@ -1,12 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from unityroot import (CertificateFailure, DomainViolation, HPReal, InvalidN,
-                       Zeta, advance_re, advance_re_derivative,
+from unityroot import (CertificateFailure, DomainViolation, HPComplex, HPReal,
+                       InvalidN, Zeta, advance_re, advance_re_derivative,
                        build_certificate, construct_zeta, descent_sequence,
                        retreat_re, solve_unity)
-from unityroot.descent import _arc_exclusion_ok, _gap2_scaled
+from unityroot.descent import (_arc_exclusion_ok, _reconstruction_ok,
+                               _scaled_powers)
 from conftest import exact, sample_reals
 
 TOL_120 = Fraction(1, 2 ** 120)
@@ -176,8 +178,6 @@ class TestCertificate:
 
     def test_half_power_is_minus_one(self):
         # the descent endpoint is mirrored by zeta^p = -1 on the circle
-        from unityroot import HPComplex
-
         minus_one = HPComplex.from_int(-1)
         for n in (6, 12, 20):
             zeta = construct_zeta(n)
@@ -196,6 +196,11 @@ class TestCertificate:
         assert "endpoint_minus_one" in failed
         assert info.value.certificate.p == 1  # advance_re(1) = Re(zeta^2) < -a
 
+    def test_correct_zeta_at_1024_and_32_bits(self):
+        # the sampled grid rejected this correct zeta with ['arc_exclusion']
+        cert = build_certificate(construct_zeta(1024, 32), solve_unity(1024, 32))
+        assert cert.checks.all_passed and cert.p == 512
+
     def test_mismatched_rootset_rejected(self, zeta6):
         with pytest.raises(InvalidN):
             build_certificate(zeta6, solve_unity(8))
@@ -206,36 +211,129 @@ class TestCertificate:
 
 
 class TestArcExclusion:
+    """The alpha-test proof of ``_arc_exclusion_ok`` on the shared powers."""
+
+    @staticmethod
+    def proves(zeta, n, xs):
+        return _arc_exclusion_ok(n, *_scaled_powers(zeta, xs, n // 2))
+
+    @staticmethod
+    def own_sequence(zeta, n):
+        # Re(w^k) for k = 0..n/2, the descent a w with that many steps reports
+        w = zeta.as_complex()
+        return [w.pow(k).re for k in range(n // 2 + 1)]
+
     @pytest.mark.parametrize("n", [6, 150, 298])
-    def test_fixed_point_gap_within_derived_bound(self, n):
-        # 2 (1 - T_n(x)) = |z^n - 1|^2 exactly, T_n from the three-term
-        # recurrence on the integers P_k = T_k(x) * 2**(s k), x = p / 2**s
-        frac = 128 + 64
-        bound = 4 ** (n.bit_length() + 1)  # units of 2**-frac
-        # full-width 128-bit points in (-1, 1), the ends, and one point
-        # below 2**-64, where the conversion to 2**-frac units floors
-        xs = [HPReal.from_ratio(2 * k - 1001, 1001) for k in range(1, 1001, 37)]
-        xs += [HPReal.one(), -HPReal.one(), HPReal.zero(),
-               HPReal.one() - HPReal.pow2(-20), HPReal.from_ratio(5, 3 * 2 ** 100)]
-        for x in xs:
-            xe = exact(x)
-            s, p = xe.denominator.bit_length() - 1, xe.numerator
-            prev, cur = 1, p
-            for _ in range(n - 1):
-                prev, cur = cur, 2 * p * cur - (prev << 2 * s)
-            # exact gap * 2**(s n) = 2 (2**(s n) - P_n)
-            exact_scaled = 2 * ((1 << s * n) - cur)
-            got = _gap2_scaled(x, n, frac)
-            err = abs((got << s * n) - (exact_scaled << frac))
-            assert err <= bound << s * n, (n, x)
+    def test_fixed_point_powers_within_derived_bound(self, n):
+        # |P_k - w^k| <= sqrt(2) k u W**(k-1) < 2 k u for |w| within 2**-100
+        # of 1, checked against the exact powers of the integer pair
+        zeta = construct_zeta(n)
+        frac, _, pw = _scaled_powers(zeta, [], n // 2)
+        assert pw[0] == (1 << frac, 0)
+        ar, ai = pw[1]
+        er, ei = 1, 0  # exact w^k, scaled by 2**(k frac)
+        for k, (pr, pi) in enumerate(pw[1:], start=1):
+            er, ei = er * ar - ei * ai, er * ai + ei * ar
+            shift = (k - 1) * frac
+            dr, di = (pr << shift) - er, (pi << shift) - ei
+            assert dr * dr + di * di <= (2 * k) ** 2 << 2 * shift, (n, k)
 
-    def test_root_at_a_grid_point_fails(self):
-        # the n = 8 grid passes 2**-9.10 from a 16th root of unity
-        assert not _arc_exclusion_ok(construct_zeta(8), 16)
+    def test_proof_accepts_every_even_n_to_300(self):
+        for n in range(6, 301, 2):
+            zeta = construct_zeta(n)
+            xs, _ = descent_sequence(zeta)
+            assert self.proves(zeta, n, xs), n
 
-    @pytest.mark.parametrize("n", [6, 10])
-    def test_roots_between_grid_points_are_missed(self, n):
-        # known gap of the sampled check: the 2n-th roots on these arcs fall
-        # between grid points (nearest 2**-8.59 at n = 6, 2**-7.42 at
-        # n = 10), so the check passes although the arcs hold such roots
-        assert _arc_exclusion_ok(construct_zeta(n), 2 * n)
+    @pytest.mark.parametrize("n,precision", [(1024, 128), (64, 32),
+                                             (256, 32), (1024, 32)])
+    def test_proof_accepts_large_n_and_low_precision(self, n, precision):
+        zeta = construct_zeta(n, precision)
+        xs, _ = descent_sequence(zeta)
+        assert self.proves(zeta, n, xs)
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_other_root_rejected(self, j):
+        # w = zeta(10)^j: of order 5 for j = 2, and for j = 3 a primitive
+        # 10th root that is not the one next to 1; either way its real parts
+        # turn back before step 5, and zeta(10)'s own descent is far from them
+        zeta = construct_zeta(10)
+        w = zeta.as_complex().pow(j)
+        fake = Zeta(n=10, a=w.re, b=w.im, r=HPReal.zero(), precision=128)
+        assert not self.proves(fake, 10, self.own_sequence(fake, 10))
+        assert not self.proves(fake, 10, descent_sequence(zeta)[0])
+
+    def test_conjugate_rejected(self):
+        # conj(zeta) has zeta's real parts but lies below the axis
+        zeta = construct_zeta(12)
+        xs, _ = descent_sequence(zeta)
+        conj = Zeta(n=12, a=zeta.a, b=-zeta.b, r=zeta.r, precision=128)
+        assert not self.proves(conj, 12, xs)
+
+    def test_root_off_by_a_rotation_rejected(self):
+        # w = zeta(6) zeta(600) descends from 1 to near -1 in three steps with
+        # wide gaps, but |w^6 - 1| ~ 2**-4 puts alpha far above the bound
+        w = construct_zeta(6).as_complex() * construct_zeta(600).as_complex()
+        fake = Zeta(n=6, a=w.re, b=w.im, r=HPReal.zero(), precision=128)
+        assert not self.proves(fake, 6, self.own_sequence(fake, 6))
+
+    def test_enclosures_grow_with_beta(self):
+        # w = zeta(64) turned by 2**-13 radians: beta ~ 2**-13, the alpha
+        # bound B (n - 1) u ~ 2**-6.6 passes and w's own real parts still
+        # descend, but the enclosures E_31 + E_32 (~2**-4.6, mostly the
+        # k * 2 beta (1 + 2 beta)^(k-1) terms) exceed the last gap (~2**-7.8)
+        eps = HPReal.pow2(-13)
+        one = HPReal.one()
+        s = (one + eps * eps).sqrt()
+        w = construct_zeta(64).as_complex() * HPComplex(one / s, eps / s)
+        fake = Zeta(n=64, a=w.re, b=w.im, r=HPReal.zero(), precision=128)
+        xs = self.own_sequence(fake, 64)
+        assert all(lo < hi for hi, lo in zip(xs, xs[1:]))
+        assert not self.proves(fake, 64, xs)
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_doubled_index_rejected(self, n):
+        # zeta(n) checked as a 2n-th root: its arcs hold the 2n-th roots that
+        # the sampled grid missed (2**-8.59 at n = 6, 2**-7.42 at n = 10) or
+        # hit only at a grid point (n = 8)
+        zeta = construct_zeta(n)
+        assert not self.proves(zeta, 2 * n, self.own_sequence(zeta, 2 * n))
+        xs, _ = descent_sequence(zeta)
+        assert not self.proves(zeta, 2 * n, xs)
+
+    def test_malformed_xs_rejected(self):
+        zeta = construct_zeta(12)
+        xs, _ = descent_sequence(zeta)
+        assert self.proves(zeta, 12, xs)
+        assert not self.proves(zeta, 12, xs[:-1])
+        assert not self.proves(zeta, 12, [])
+        assert not self.proves(zeta, 12, xs + [-HPReal.one()])
+        assert not self.proves(zeta, 12, xs[:3] + xs[2:-1])
+
+    def test_reconstruction_rejects_moved_x(self):
+        zeta = construct_zeta(12)
+        rootset = solve_unity(12)
+        xs, p = descent_sequence(zeta)
+        frac, scaled, pw = _scaled_powers(zeta, xs, p)
+        tol = HPReal.pow2(-64)
+        assert _reconstruction_ok(p, frac, scaled, pw, rootset, tol)
+        scaled[3] += 2 << (frac - 64)
+        assert not _reconstruction_ok(p, frac, scaled, pw, rootset, tol)
+
+    def test_merge_rejects_moved_root(self):
+        zeta = construct_zeta(12)
+        rootset = solve_unity(12)
+        roots = list(rootset.roots)
+        nudge = HPComplex(HPReal.pow2(-63), HPReal.zero())
+        roots[4] = roots[4] + nudge  # twice the 2**-64 tolerance
+        with pytest.raises(CertificateFailure) as info:
+            build_certificate(zeta, replace(rootset, roots=tuple(roots)))
+        assert info.value.failed == ["reconstruction_matches"]
+
+    def test_merge_rejects_swapped_roots(self):
+        zeta = construct_zeta(12)
+        rootset = solve_unity(12)
+        roots = list(rootset.roots)
+        roots[1], roots[2] = roots[2], roots[1]
+        with pytest.raises(CertificateFailure) as info:
+            build_certificate(zeta, replace(rootset, roots=tuple(roots)))
+        assert info.value.failed == ["reconstruction_matches"]

@@ -19,3 +19,48 @@ def test_no_private_name_imported_across_modules():
             found += [f"{path.name}:{node.lineno} {alias.name}"
                       for alias in node.names if alias.name.startswith("_")]
     assert not found
+
+
+# the construction and the certificate use field operations and square roots
+# only; the series oracle is the one place a transcendental may appear
+_TRANSCENDENTAL = {"sin", "cos", "tan", "asin", "acos", "atan", "atan2", "exp",
+                   "expm1", "log", "log2", "log10", "log1p", "pi", "tau", "e"}
+_BANNED_NAMES = {"math": _TRANSCENDENTAL,
+                 "numpy": _TRANSCENDENTAL | {"angle", "fft"}}
+_BANNED_MODULES = {"cmath", "mpmath"}
+
+
+def _banned_module(dotted: str) -> bool:
+    # cmath, mpmath, or a transcendental submodule such as numpy.fft
+    root, *rest = dotted.split(".")
+    return root in _BANNED_MODULES or bool(set(rest) & _BANNED_NAMES.get(root, set()))
+
+
+def test_no_transcendental_outside_the_oracle():
+    found = []
+    for path in sorted(Path(unityroot.__file__).parent.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}  # local name of math or numpy -> the names it must not supply
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    root = alias.name.split(".")[0]
+                    if _banned_module(alias.name):
+                        found.append(f"{where} import {alias.name}")
+                    elif root in _BANNED_NAMES:
+                        aliases[alias.asname or root] = _BANNED_NAMES[root]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                root = (node.module or "").split(".")[0]
+                banned = _BANNED_NAMES.get(root, set())
+                found += [f"{where} from {node.module} import {alias.name}"
+                          for alias in node.names
+                          if _banned_module(node.module) or alias.name in banned
+                          or (banned and alias.name == "*")]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.attr in aliases.get(node.value.id, ())):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert not found
