@@ -12,6 +12,7 @@ values), 2 numerical failures (no convergence, failed certificate checks),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -55,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unityroot",
                      description="Construct, certify and apply primitive "

@@ -12,9 +12,18 @@ rounded once at the end.  The residual bound of every root set is a proven
 upper bound evaluated in the same kernel.  Every stage is a pure function of
 (c, n, precision), so repeated calls are bit-identical.
 
+z**n = 1 is solved by symmetry (:func:`solve_unity`).  Its roots are closed
+under conjugation, and for even n under negation, and both maps are exact
+sign flips of the components.  Newton and the residual bound therefore run
+on one representative per orbit off the axes, picked from the settled float
+roots; the axis roots 1, -1 and +-i are inserted exactly and every other
+root is a sign flip of a representative.  A flip leaves |z**n - 1| and |z|
+unchanged, so the bound over the representatives bounds every root.
+
 The same Newton loop, run from one seed, gives ``roots_of`` its root
 (:func:`newton_root`), and :func:`assemble_rootset` checks, orders and bounds
-every root set, solved or rotated, relative to the roots' power-of-two scale.
+every root set, solved, mirrored or rotated, relative to the roots'
+power-of-two scale.
 
 Only field operations and square roots are used in every stage.
 """
@@ -284,15 +293,27 @@ def _residual_bound(zs: list, c: HPComplex, n: int, k: int,
     return fixed.to_hpreal_up(worst, frac - k * n, precision)
 
 
+def distinct_exp(n: int, precision: int) -> int:
+    """The exponent e of the distinctness floor 2**-e of n roots at
+    `precision` bits: max(precision // 4, n.bit_length() + 1).
+
+    As 2**-e < 1/(2n), the floor stays below the spacing 2 sin(pi/n) >= 4/n
+    of the n-th roots of unity, and below the gap
+    2 sin(2 pi/n) - 2 sin(pi/n) = 2 sin(pi/n) (2 cos(pi/n) - 1) > 2.9/n
+    (n >= 6) between the two smallest |w - 1| over the upper roots, which
+    ``zeta.select_zeta`` must tell apart.
+    """
+    return max(precision // 4, n.bit_length() + 1)
+
+
 def _collapsed_pair(zs: list, precision: int):
     """The first pair of roots closer than the distinctness floor 2**-e,
-    e = max(precision // 4, n.bit_length() + 1), or None.  The floor stays
-    below the spacing 2 sin(pi/n) >= 4/n of the n-th roots of unity.
-    Screening runs in binary64, suspects are re-measured in high precision."""
+    e = distinct_exp(n, precision), or None.  Screening runs in binary64,
+    suspects are re-measured in high precision."""
     n = len(zs)
     if n < 2:
         return None
-    e = max(precision // 4, n.bit_length() + 1)
+    e = distinct_exp(n, precision)
     approx = np.array([z.to_complex() for z in zs])
     dist = np.abs(approx[:, None] - approx[None, :]) + np.eye(n) * 4.0
     band = max(2.0 ** -e * 4.0, 1e-12)
@@ -321,7 +342,8 @@ def _sort_roots(zs: list, band: HPReal) -> list:
     return sorted(zs, key=key)
 
 
-def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
+def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int,
+                     reps: list | None = None) -> RootSet:
     """The RootSet of the n roots zs of z**n = c: checked, ordered, bounded.
 
     Floor, band and target are relative to the roots' scale 2**k: roots
@@ -329,6 +351,12 @@ def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
     mean the solve failed (they are never merged), the real band of the
     order is 2**k * contract_tol, and the residual bound must be at most
     2**((top + 1) // 2) * contract_tol, about |c| * 2**(-precision/2).
+
+    The screen and the order always run over all of zs.  The residual bound
+    runs over `reps` when given: roots whose residuals cover every root of
+    zs.  :func:`solve_unity` passes one root per symmetry orbit; each other
+    root is an exact sign flip of one of them, with the same residual, or an
+    exact axis root, with residual 0.  Without `reps` it runs over zs.
     """
     top, k = _root_scale(c, n)
     pair = _collapsed_pair([_scale2(z, -k) for z in zs], precision)
@@ -337,7 +365,7 @@ def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
             f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
     tol = contract_tol(precision)
     zs = _sort_roots(zs, tol.scale2(k))
-    bound = _residual_bound(zs, c, n, k, precision)
+    bound = _residual_bound(zs if reps is None else reps, c, n, k, precision)
     if bound > tol.scale2((top + 1) // 2):
         raise NoConvergence(
             f"residual bound {bound.to_float():.3g} above target for n={n}")
@@ -345,10 +373,14 @@ def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
                    residual_bound=bound, precision=precision)
 
 
-def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
+def _check_index(n: int, precision: int) -> None:
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
     HPReal._check_precision(precision)
+
+
+def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
+    _check_index(n, precision)
     cap = 50 + 10 * n
     # reduce by an exact power of two so the float stage sees a tame target:
     # z = 2**k * y  with  y**n = c / 2**(k*n)
@@ -367,18 +399,66 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
 # ---------------------------------------------------------------------------
 
 
+def _orbit_representatives(n: int, precision: int) -> list:
+    """One root of z**n = 1 per symmetry orbit off the axes: the roots with
+    Im > 1/n, and for even n also Re > 1/n, driven to full precision.
+
+    The float stage runs on all n roots, so its seeds and repulsion are
+    those of any other solve; the margin 1/n is safe because every off-axis
+    root lies at least sin(pi/n) >= 2/n from each axis it must clear, and
+    the float roots settle within about 1e-9.  Exactly ceil(n/4) - 1
+    representatives (even n) or (n - 1)/2 (odd n) must clear it, else the
+    float stage failed and NoConvergence is raised.
+    """
+    even = n % 2 == 0
+    want = (n + 3) // 4 - 1 if even else (n - 1) // 2
+    if not want:
+        return []
+    cap = 50 + 10 * n
+    floats, used = _float_stage(n, 1 + 0j, cap - _HP_SWEEP_RESERVE)
+    edge = 1.0 / n
+    seeds = [complex(v) for v in floats
+             if v.imag > edge and (not even or v.real > edge)]
+    if len(seeds) != want:
+        raise NoConvergence(f"{len(seeds)} float roots in the fundamental "
+                            f"region, expected {want}, for n={n}")
+    return _newton(seeds, HPComplex.one(precision), n, 0, precision,
+                   min(_HP_SWEEP_RESERVE, cap - used))
+
+
 def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet:
     """All n solutions of z**n = 1, deterministically ordered.
 
-    The residual bound is at most 2**(-precision/2); on the unit circle every
-    root additionally satisfies | |z| - 1 | <= residual_bound.  That is
-    decided exactly: |z|**2 of a dyadic z is an exact integer multiple of
+    The set is closed under conjugation, and for even n under negation;
+    both are exact sign flips of the components.  So Newton runs on one
+    representative per orbit (:func:`_orbit_representatives`), the axis
+    roots 1, -1 (even n) and +-i (4 | n) are inserted exactly, and every
+    other root is conj(z), -z or -conj(z) of a representative z.
+
+    The residual bound is at most 2**(-precision/2), a proven upper bound
+    over every root although it is evaluated on the representatives only:
+    |conj(z)**n - 1| = |conj(z**n - 1)| = |z**n - 1|, for even n
+    |(-z)**n - 1| = |z**n - 1|, and an exact axis root has residual 0.
+    On the unit circle every root additionally satisfies
+    | |z| - 1 | <= residual_bound, and |z| is invariant under the sign
+    flips, so this too is checked on the representatives.  It is decided
+    exactly: |z|**2 of a dyadic z is an exact integer multiple of
     2**(-2 frac), and | |z|**2 - 1 | <= bound implies | |z| - 1 | <= bound.
     """
     if use_cache and (n, precision) in _unity_cache:
         return _unity_cache[(n, precision)]
-    out = _solve(HPComplex.one(precision), n, precision)
-    for z in out.roots:
+    _check_index(n, precision)
+    reps = _orbit_representatives(n, precision)
+    one, i = HPComplex.one(precision), HPComplex.i(precision)
+    zs = [one]
+    if n % 2 == 0:
+        zs.append(-one)
+    if n % 4 == 0:
+        zs += [i, -i]
+    for z in reps:
+        zs += [z, z.conj()] + ([-z, -z.conj()] if n % 2 == 0 else [])
+    out = assemble_rootset(zs, one, n, precision, reps)
+    for z in reps:
         frac = max(fixed.exact_frac(z.re, 0), fixed.exact_frac(z.im, 0))
         x, y = _pair(z, frac)
         gap = abs(x * x + y * y - (1 << 2 * frac))  # | |z|^2 - 1 | 4**frac

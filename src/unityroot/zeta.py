@@ -5,17 +5,20 @@ minimizes the distance to 1; call it zeta = a + ib with radius r = |zeta - 1|.
 For even n >= 6 it is read directly off the solved root set.  n = 1, 2, 4 are
 hard-wired (1, -1, i).  Every other n (the odd ones) goes through the doubled
 index: zeta(2n) is constructed and squared, which lands on the minimizer for
-n itself.
+n itself.  The square is taken in the fixed-point kernel after one Newton
+step from the rounded zeta(2n) and rounded once, so odd-n zeta is correctly
+rounded like the even indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import fixed
 from .errors import AmbiguousMinimizer, InvalidN, NoUpperRoot, SelectionError
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
-from .solver import RootSet, solve_unity
+from .solver import RootSet, distinct_exp, solve_unity
 
 _zeta_cache: dict = {}
 
@@ -43,9 +46,10 @@ def select_zeta(rootset: RootSet) -> Zeta:
     """Pick the unique root with Im > residual_bound minimizing |w - 1|.
 
     Raises NoUpperRoot when no root clears the residual band,
-    AmbiguousMinimizer when two candidates are numerically tied (a solver
-    failure), and SelectionError when the winner violates 0 < a < 1,
-    0 < b < 1.
+    AmbiguousMinimizer when the two smallest |w - 1| lie within the
+    distinctness floor of ``solver.distinct_exp`` (a solver failure: the
+    true gap is above it at every n), and SelectionError when the winner
+    violates 0 < a < 1, 0 < b < 1.
     """
     if not rootset.is_unity:
         raise InvalidN("select_zeta expects a unity root set")
@@ -69,7 +73,7 @@ def select_zeta(rootset: RootSet) -> Zeta:
     if best is None:
         raise NoUpperRoot(f"no root above the real axis for n={rootset.n}")
     r = best[0].sqrt()
-    tie_gap = HPReal.pow2(-(prec // 4), prec)
+    tie_gap = HPReal.pow2(-distinct_exp(rootset.n, prec), prec)
     if second is not None and second[0].sqrt() - r <= tie_gap:
         raise AmbiguousMinimizer(
             "two minimizers within the tie tolerance; the solve is suspect")
@@ -88,7 +92,12 @@ def construct_zeta(n: int, precision: int = 128, use_cache: bool = True) -> Zeta
     n = 1, 2, 4 are exact constants.  Even n >= 6 selects the minimizer from
     solve_unity(n).  Odd n squares zeta(2n): if w generates all 2n-th roots,
     w^2, w^4, ..., w^(2n) are exactly the n distinct n-th roots, and squaring
-    the doubled minimizer lands on the minimizer for n.
+    the doubled minimizer lands on the minimizer for n.  The rounded zeta(2n)
+    enters :mod:`unityroot.fixed` exactly, at frac_bits(precision) fraction
+    bits or more; one Newton step on z**(2n) = 1 puts it within a few units
+    of 2**-frac of the exact root (the seed is 2**-precision off and the
+    step converges quadratically), and its square is rounded once per
+    component.
     """
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
@@ -107,8 +116,16 @@ def construct_zeta(n: int, precision: int = 128, use_cache: bool = True) -> Zeta
         out = select_zeta(solve_unity(n, precision, use_cache=use_cache))
     else:
         doubled = select_zeta(solve_unity(2 * n, precision, use_cache=use_cache))
-        w = doubled.as_complex()
-        sq = w * w
+        # one Newton step on z**(2n) = 1 from the rounded zeta(2n), then the
+        # square, both in the fixed-point kernel: one rounding per component
+        frac = fixed.frac_bits(precision)
+        for v in (doubled.a, doubled.b):
+            frac = fixed.exact_frac(v, frac)
+        y = fixed.to_fixed(doubled.a, frac), fixed.to_fixed(doubled.b, frac)
+        d = fixed.newton_step(y, (1 << frac, 0), 2 * n, frac)
+        y = y[0] - d[0], y[1] - d[1]
+        sq = HPComplex(*(fixed.to_hpreal(v, frac, precision)
+                         for v in fixed.mul(y, y, frac)))
         r = abs(sq - HPComplex.one(precision))
         out = Zeta(n=n, a=sq.re, b=sq.im, r=r, precision=precision)
     if use_cache:

@@ -195,6 +195,31 @@ class TestErrorsAndFormats:
             parse_args([])
         assert info.value.code == EXIT_USAGE
 
+    def test_parser_is_built_once(self, capsys):
+        # rebuilding every subcommand took about a tenth of a cold verify
+        cli._build_parser.cache_clear()
+        run_cli(capsys, "order", "--n", "12", "--m", "5")
+        run_cli(capsys, "zeta", "--n", "6")
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_shared_parser_survives_usage_errors(self, capsys):
+        good = ("order", "--n", "12", "--m", "5")
+        first = run_cli(capsys, *good)
+        assert first[0] == EXIT_OK
+        for bad in (["zeta", "--bogus"], ["order", "--n", "12"], []):
+            with pytest.raises(SystemExit) as info:
+                main(bad)
+            assert info.value.code == EXIT_USAGE
+            capsys.readouterr()
+            assert run_cli(capsys, *good) == first
+
+    def test_zeta_2048_at_32_bits_succeeds(self, capsys):
+        # exited 2 with AmbiguousMinimizer on an absolute tie gap of 2**-8
+        code, out = run_cli(capsys, "zeta", "--n", "2048", "--precision", "32")
+        assert code == EXIT_OK
+        assert json.loads(out)["n"] == 2048
+
     @pytest.mark.parametrize("argv", [("zeta", "--n", "320"),
                                       ("roots", "--n", "307")])
     def test_large_n_solves(self, capsys, argv):

@@ -1,11 +1,13 @@
+import numpy as np
 import pytest
 
 from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
                        ZeroTarget, cofactor_eval, roots_of, simple_zero_check,
                        solve_binomial, solve_unity)
-from unityroot import fixed
+from unityroot import fixed, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
-from unityroot.solver import _float_stage, assemble_rootset, newton_root
+from unityroot.solver import (_HP_SWEEP_RESERVE, _float_stage, assemble_rootset,
+                              newton_root)
 from conftest import exact
 
 # the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
@@ -280,13 +282,14 @@ BOUND_TARGETS = [
 
 
 class TestFixedPointStage:
-    @pytest.mark.parametrize("solve", [solve_binomial, roots_of])
+    @pytest.mark.parametrize("solve", [solve_binomial, roots_of, solve_unity])
     def test_residual_bound_is_an_upper_bound(self, solve):
-        # the bound of the returned, rounded roots, against their exact residual
+        # the bound of the returned, rounded roots, against their exact
+        # residual; solve_unity bounds one root per orbit and covers the rest
         short = []
-        for c in BOUND_TARGETS:
+        for c in BOUND_TARGETS[:1] if solve is solve_unity else BOUND_TARGETS:
             for n in range(1, 65):
-                rs = solve(c, n)
+                rs = solve(n) if solve is solve_unity else solve(c, n)
                 if not all(residual_within(z, c, n, rs.residual_bound)
                            for z in rs.roots):
                     short.append((c.to_complex(), n))
@@ -338,3 +341,85 @@ class TestFixedPointStage:
         c = HPComplex.from_int(-7, 3)
         assert solve_binomial(c, 20).bit_identical(solve_binomial(c, 20))
         assert roots_of(c, 20).bit_identical(roots_of(c, 20))
+
+
+def bits(z):
+    return tuple((v.sign, v.mantissa, v.exponent) for v in (z.re, z.im))
+
+
+def representatives(n):
+    """ceil(n/4) - 1 for even n, (n - 1)/2 for odd n: the roots off the axes
+    in the open first quadrant (even n) or upper half plane (odd n)."""
+    return (n + 3) // 4 - 1 if n % 2 == 0 else (n - 1) // 2
+
+
+class TestSymmetricUnity:
+    CASES = [(n, 128) for n in range(1, 301)] + [(1024, 32)]
+
+    def test_closed_under_exact_sign_flips(self):
+        open_ = []
+        for n, precision in self.CASES:
+            rs = solve_unity(n, precision)
+            roots = {bits(z) for z in rs.roots}
+            flips = [HPComplex.conj] + (
+                [HPComplex.__neg__, lambda z: -z.conj()] if n % 2 == 0 else [])
+            for z in rs.roots:
+                if any(bits(f(z)) not in roots for f in flips):
+                    open_.append((n, precision, z.to_complex()))
+        assert not open_
+
+    def test_axis_roots_are_exact(self):
+        # the axis roots carried one kernel unit, 2**-(p + 64), of dust
+        wrong = []
+        for n, precision in self.CASES:
+            one, zero = HPReal.one(precision), HPReal.zero(precision)
+            want = {bits(HPComplex(one, zero))}
+            if n % 2 == 0:
+                want.add(bits(HPComplex(-one, zero)))
+            if n % 4 == 0:
+                want |= {bits(HPComplex(zero, one)), bits(HPComplex(zero, -one))}
+            band = HPReal.pow2(-32, precision)
+            axis = {bits(z) for z in solve_unity(n, precision).roots
+                    if abs(z.re) <= band or abs(z.im) <= band}
+            if axis != want:
+                wrong.append((n, precision))
+        assert not wrong
+
+    def test_newton_and_bound_run_on_one_root_per_orbit(self, monkeypatch):
+        steps, bounds = [], []
+        step, error = fixed.newton_step, fixed.power_error
+
+        def counted_step(*args):
+            steps.append(args[2])
+            return step(*args)
+
+        def counted_error(*args):
+            bounds.append(args[1])
+            return error(*args)
+
+        monkeypatch.setattr(fixed, "newton_step", counted_step)
+        monkeypatch.setattr(fixed, "power_error", counted_error)
+        over = []
+        for n in (1, 2, 4, 6, 8, 10, 12, 100, 148, 256, 298, 1024, 3, 75):
+            steps.clear()
+            bounds.clear()
+            solve_unity(n, use_cache=False)
+            reps = representatives(n)
+            # each sweep and the polish step take one step per representative
+            if (len(steps) % max(reps, 1) or len(bounds) != reps
+                    or len(steps) > reps * (_HP_SWEEP_RESERVE + 1)):
+                over.append((n, len(steps), len(bounds)))
+        assert not over
+
+    @pytest.mark.parametrize("edit", [
+        lambda z: z[:0], lambda z: np.append(z, z),
+        lambda z: np.full_like(z, np.nan)], ids=["none", "doubled", "nan"])
+    def test_wrong_representative_count_is_no_convergence(self, monkeypatch, edit):
+        def float_stage(n, c, budget):
+            z, used = _float_stage(n, c, budget)
+            return edit(z), used
+
+        monkeypatch.setattr(solver, "_float_stage", float_stage)
+        for n in (5, 12, 30):
+            with pytest.raises(NoConvergence, match="fundamental region"):
+                solve_unity(n, use_cache=False)

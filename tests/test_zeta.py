@@ -7,6 +7,7 @@ from unityroot import (AmbiguousMinimizer, HPComplex, HPReal, InvalidN,
                        NoUpperRoot, RootSet, SelectionError, Zeta,
                        construct_zeta, radius_identity_check, select_zeta,
                        solve_unity)
+from unityroot.oracle import trig_root
 from conftest import exact
 
 
@@ -146,21 +147,44 @@ def test_alternate_precision():
     assert abs(exact(z.a) - Fraction(1, 2)) <= Fraction(1, 2 ** 180)
 
 
+def worst_ulp(ns):
+    """The largest error of a component of construct_zeta(n), n in ns, in
+    ulps of a 128-bit value, against cos and sin (2 pi / n) at 400 bits."""
+    worst = Fraction(0)
+    with mpmath.workprec(400):
+        for n in ns:
+            z = construct_zeta(n)
+            angle = 2 * mpmath.pi / n
+            for got, want in ((z.a, mpmath.cos(angle)), (z.b, mpmath.sin(angle))):
+                man, exp = want.man_exp  # the mantissa of |want|
+                mag = Fraction(man) * Fraction(2) ** exp
+                top = mag.numerator.bit_length() - mag.denominator.bit_length()
+                if Fraction(2) ** top > mag:
+                    top -= 1
+                ulp = Fraction(2) ** (top - 127)  # of a 128-bit value at want
+                ref = -mag if want < 0 else mag
+                worst = max(worst, abs(exact(got) - ref) / ulp)
+    return worst
+
+
 def test_even_zeta_is_correctly_rounded():
     # the fixed-point Newton stage keeps 64 guard bits below the last bit of
     # each root, so the components of zeta(n) are cos and sin (2 pi / n)
     # rounded to nearest (0.57 ulp off at n = 6 before it)
-    worst = Fraction(0)
-    with mpmath.workprec(400):
-        for n in range(6, 151, 2):
-            z = construct_zeta(n)
-            angle = 2 * mpmath.pi / n
-            for got, want in ((z.a, mpmath.cos(angle)), (z.b, mpmath.sin(angle))):
-                man, exp = want.man_exp
-                ref = Fraction(man) * Fraction(2) ** exp
-                top = ref.numerator.bit_length() - ref.denominator.bit_length()
-                if Fraction(2) ** top > ref:
-                    top -= 1
-                ulp = Fraction(2) ** (top - 127)  # of a 128-bit value at ref
-                worst = max(worst, abs(exact(got) - ref) / ulp)
+    worst = worst_ulp(range(6, 151, 2))
     assert worst <= Fraction(1, 2), float(worst)
+
+
+def test_odd_zeta_is_correctly_rounded():
+    # the square of the rounded zeta(2n) was up to 1.81 ulp off (n = 69)
+    worst = worst_ulp(range(3, 150, 2))
+    assert worst <= Fraction(1, 2), float(worst)
+
+
+def test_zeta_2048_at_32_bits():
+    # the two smallest |w - 1| differ by about 2 pi/2048 < 2**-8, the old
+    # absolute tie gap: AmbiguousMinimizer after a correct solve
+    z = construct_zeta(2048, 32, use_cache=False)
+    want = trig_root(2048, 1, 32).value
+    tol = HPReal.pow2(-28, 32)
+    assert abs(z.a - want.re) <= tol and abs(z.b - want.im) <= tol
