@@ -48,6 +48,28 @@ def _semicircle_height(x: HPReal) -> HPReal:
     return ((one - x) * (one + x)).sqrt()
 
 
+def _advance_map(zeta: Zeta):
+    """advance_re(., zeta) with its constants (the clamping tolerance, 1, -a
+    and the two domain bounds) computed once."""
+    tol = contract_tol(zeta.precision)
+    one = HPReal.one(zeta.precision)
+    a, b = zeta.a, zeta.b
+    lo = -a
+    top, bottom = one + tol, lo - tol
+
+    def advance(x: HPReal) -> HPReal:
+        if x > top or x < bottom:
+            raise DomainViolation(
+                f"advance_re argument {x.to_float()} outside [-a, 1]")
+        if x > one:
+            x = one
+        elif x < lo:
+            x = lo
+        return a * x - b * ((one - x) * (one + x)).sqrt()
+
+    return advance
+
+
 def advance_re(x: HPReal, zeta: Zeta) -> HPReal:
     """a*x - b*sqrt(1-x^2) with clamping on [-a, 1].
 
@@ -55,16 +77,7 @@ def advance_re(x: HPReal, zeta: Zeta) -> HPReal:
     DomainViolation; within that band they are clamped to the boundary, which
     is sound because the map extends continuously to the closed interval.
     """
-    tol = contract_tol(zeta.precision)
-    one = HPReal.one(zeta.precision)
-    lo = -zeta.a
-    if x > one + tol or x < lo - tol:
-        raise DomainViolation(f"advance_re argument {x.to_float()} outside [-a, 1]")
-    if x > one:
-        x = one
-    elif x < lo:
-        x = lo
-    return zeta.a * x - zeta.b * _semicircle_height(x)
+    return _advance_map(zeta)(x)
 
 
 def retreat_re(y: HPReal, zeta: Zeta) -> HPReal:
@@ -98,9 +111,13 @@ def descent_sequence(zeta: Zeta, max_steps: int | None = None):
     """Iterate advance_re from x_0 = 1 until the iterate leaves [-a, 1].
 
     Returns (xs, p) where xs = [x_0, ..., x_p] and x_p is the first element
-    below -a by more than the clamping tolerance (the boundary value -a
-    itself is still in the domain and takes one more step, which is what
-    carries the sequence onto -1).
+    below -a by more than min(2**(-precision/2), (1 - a)/2): past the
+    clamping tolerance, and past half the last step from -a = Re(zeta^(p-1))
+    to -1 = Re(zeta^p), which is 1 - a.  The boundary value -a itself is
+    still in the domain and takes one more step, which is what carries the
+    sequence onto -1; -1 exits even where the last step is narrower than the
+    clamping tolerance (n above about pi sqrt(2) 2**(precision/4), 1137 at
+    32 bits).
     """
     if zeta.n < 6 or zeta.n % 2:
         raise InvalidN(f"descent requires an even n >= 6, got {zeta.n}")
@@ -108,16 +125,18 @@ def descent_sequence(zeta: Zeta, max_steps: int | None = None):
         max_steps = zeta.n
     if max_steps < zeta.n:
         raise InvalidN("max_steps must be at least n")
-    tol = contract_tol(zeta.precision)
-    exit_bound = -zeta.a - tol
-    xs = [HPReal.one(zeta.precision)]
+    one = HPReal.one(zeta.precision)
+    exit_bound = -zeta.a - min(contract_tol(zeta.precision),
+                               (one - zeta.a).scale2(-1))
+    advance = _advance_map(zeta)
+    xs = [one]
     while True:
         cur = xs[-1]
         if cur < exit_bound:
             break
         if len(xs) > max_steps:
             raise StepLimit(f"no exit from [-a, 1] within {max_steps} steps")
-        nxt = advance_re(cur, zeta)
+        nxt = advance(cur)
         if not (nxt < cur):
             raise NonDescent(
                 f"x_{len(xs)} = {nxt.to_float()} did not decrease")

@@ -1,29 +1,37 @@
 """Deterministic simultaneous root finding for z**n = c.
 
-After an exact power-of-two reduction of c, Aberth's simultaneous method
-(Aberth 1973; Bini 1996, the MPSolve design) runs Jacobi sweeps in hardware
-binary64 from the rotation seeds u, u^2, ..., u^n, u = g/|g| with
+After an exact power-of-two reduction of c, the float stage finds the roots
+in hardware binary64.  Write n = 2**j m with m odd: Aberth's simultaneous
+method (Aberth 1973; Bini 1996, the MPSolve design) runs Jacobi sweeps on
+z**m = c only, from the rotation seeds u, u^2, ..., u^m, u = g/|g| with
 g = 0.4 + 0.9i: unit-circle points at irrational angles, which break the
-symmetry that stalls exact-circle seeds on z**n - 1.  The settled estimates
-enter the fixed-point kernel (:mod:`unityroot.fixed`) exactly and are driven
-to the final tolerance by simultaneous Newton sweeps plus one closing polish
-step per root, on integer pairs with 64 guard bits; each component is
-rounded once at the end.  The residual bound of every root set is a proven
-upper bound evaluated in the same kernel.  Every stage is a pure function of
-(c, n, precision), so repeated calls are bit-identical.
+symmetry that stalls exact-circle seeds on z**m - 1.  The roots of
+z**(2d) = c are +-sqrt(y) for the roots y of z**d = c, so j square-root
+lifting steps give all n roots.  The repulsion sums are formed in blocks
+of at most 256 rows, so the stage needs O(256 m) memory.  The settled
+estimates enter the fixed-point kernel (:mod:`unityroot.fixed`) exactly and
+are driven to the final tolerance by simultaneous Newton sweeps plus one
+closing polish step per root, on integer pairs with 64 guard bits; each
+component is rounded once at the end.  The residual bound of every root set
+is a proven upper bound evaluated in the same kernel.  Every stage is a pure
+function of (c, n, precision), so repeated calls are bit-identical.
 
 z**n = 1 is solved by symmetry (:func:`solve_unity`).  Its roots are closed
 under conjugation, and for even n under negation, and both maps are exact
 sign flips of the components.  Newton and the residual bound therefore run
-on one representative per orbit off the axes, picked from the settled float
-roots; the axis roots 1, -1 and +-i are inserted exactly and every other
-root is a sign flip of a representative.  A flip leaves |z**n - 1| and |z|
-unchanged, so the bound over the representatives bounds every root.
+on one representative per orbit off the axes, picked from the float roots;
+the axis roots 1, -1 and +-i are inserted exactly and every other root is a
+sign flip of a representative.  A flip leaves |z**n - 1| and |z| unchanged,
+so the bound over the representatives bounds every root.  The distinctness
+screen runs on the representatives and the axis roots next to them, and
+the documented order is built from the representatives sorted by real part
+(:func:`_unity_layout`), so no stage after the float stage touches all n
+roots.
 
 The same Newton loop, run from one seed, gives ``roots_of`` its root
 (:func:`newton_root`), and :func:`assemble_rootset` checks, orders and bounds
-every root set, solved, mirrored or rotated, relative to the roots'
-power-of-two scale.
+every other root set, solved or rotated, relative to the roots' power-of-two
+scale.
 
 Only field operations and square roots are used in every stage.
 """
@@ -45,6 +53,9 @@ _ROTATION = _SEED / abs(_SEED)
 
 # sweeps held back from the float stage for the high-precision stage
 _HP_SWEEP_RESERVE = 12
+
+# rows of the Aberth repulsion sums formed at once
+_BLOCK = 256
 
 _unity_cache: dict = {}
 
@@ -107,15 +118,68 @@ def _pow(w: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _sqrt(y: np.ndarray) -> np.ndarray:
+    """Principal square roots in binary64 without cancellation: the larger
+    component is t = sqrt((|y| + |Re y|)/2), the other Im y / (2t).  The sum
+    is formed at 1/8 scale and t as 2 sqrt(sum), both exact power-of-two
+    rescalings, so |y| cannot overflow at the top of the reduced target's
+    range."""
+    x, v = y.real, y.imag
+    t = 2.0 * np.sqrt(np.abs(0.125 * y) + 0.125 * np.abs(x))
+    other = v / (2.0 * t)
+    neg = x < 0
+    out = np.empty_like(y)
+    out.real = np.where(neg, np.abs(other), t)
+    out.imag = np.where(neg, np.copysign(t, v), other)
+    return out
+
+
 def _float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
+    """Binary64 roots of z**n = c; returns (roots, sweeps_used).
+
+    Write n = 2**j m with m odd.  Aberth runs on z**m = c (:func:`_aberth`),
+    and each of j lifting steps turns the roots y of z**(n/2**i) = c into
+    the roots +-sqrt(y) of z**(2n/2**i) = c, so the sweeps see m roots only.
+    """
+    j = (n & -n).bit_length() - 1
+    z, used = _aberth(n >> j, c, sweep_budget)
+    for _ in range(j):
+        r = _sqrt(z)
+        z = np.concatenate((r, -r))
+    return z, used
+
+
+def _repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """S_i, the sum of 1/(z_i - z_j) over j != i, for each i in idx.
+
+    The rows are formed in blocks of at most _BLOCK, so memory is
+    O(_BLOCK len(z)); each row is still summed whole, by the same pairwise
+    summation as a full matrix's row.
+    """
+    out = np.empty(len(idx), dtype=np.complex128)
+    for lo in range(0, len(idx), _BLOCK):
+        block = idx[lo:lo + _BLOCK]
+        rows = np.arange(len(block))
+        inv = z[block, None] - z[None, :]
+        inv[rows, block] = 1.0
+        np.divide(1.0, inv, out=inv)
+        inv[rows, block] = 0.0
+        out[lo:lo + _BLOCK] = inv.sum(axis=1)
+    return out
+
+
+def _aberth(n: int, c: complex, sweep_budget: int) -> tuple:
     """Aberth sweeps in binary64; returns (roots, sweeps_used).
 
-    A root moves by 1/(R - S), S the sum of 1/(z - z_j) over the other
-    roots and R = p'/p written so that no power overflows: (n/z) t/(t - c)
-    with t = z^n for |z| <= 1, (n/z)/(1 - c t) with t = (1/z)^n for |z| > 1.
-    A root freezes once both its correction and its residual are small; the
-    frozen value keeps repelling the still-active roots (Jacobi contract).
+    A root moves by 1/(R - S), S = :func:`_repulsion` and R = p'/p written
+    so that no power overflows: (n/z) t/(t - c) with t = z^n for |z| <= 1,
+    (n/z)/(1 - c t) with t = (1/z)^n for |z| > 1.  A root freezes once both
+    its correction and its residual are small; the frozen value keeps
+    repelling the still-active roots (Jacobi contract).  z**1 = c needs no
+    sweep.
     """
+    if n == 1:
+        return np.array([c], dtype=np.complex128), 0
     scale = abs(c)
     ebits = math.frexp(1.0 + scale)[1]
     z = _rotation_seeds(n, 2.0 ** max(ebits // n, 0))
@@ -124,20 +188,16 @@ def _float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
     res_tol = 1e-9 * max(1.0, scale) * n
     for sweep in range(1, sweep_budget + 1):
         idx = np.nonzero(active)[0]
-        rows = np.arange(len(idx))
         za = z[idx]
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
-            inv = za[:, None] - z[None, :]
-            inv[rows, idx] = 1.0
-            np.divide(1.0, inv, out=inv)
-            inv[rows, idx] = 0.0
+            s = _repulsion(z, idx)
             inside = np.abs(za) <= 1.0
             t = _pow(np.where(inside, za, 1.0 / za), n)
             den = np.where(inside, t - c, 1.0 - c * t)
             num = (n / za) * np.where(inside, t, 1.0)
             # 1/(R - S) with R = num/den, exactly zero at an exact root
-            corr = den / (num - inv.sum(axis=1) * den)
+            corr = den / (num - s * den)
             pz = np.where(inside, den, den / t)
         mag = np.abs(corr)
         limit = 4.0 * (1.0 + np.abs(za))
@@ -306,23 +366,32 @@ def distinct_exp(n: int, precision: int) -> int:
     return max(precision // 4, n.bit_length() + 1)
 
 
-def _collapsed_pair(zs: list, precision: int):
-    """The first pair of roots closer than the distinctness floor 2**-e,
-    e = distinct_exp(n, precision), or None.  Screening runs in binary64,
-    suspects are re-measured in high precision."""
-    n = len(zs)
-    if n < 2:
+def _collapsed_pair(zs: list, n: int, precision: int):
+    """The first pair of zs closer than the distinctness floor 2**-e of n
+    roots, e = distinct_exp(n, precision), or None.
+
+    Screening runs in binary64 on the roots sorted by real part: each is
+    compared with the next d = 1, 2, ... in that order until no real-part
+    gap at offset d is below the screening band, so no pair within the band
+    is missed and no n x n matrix is formed.  Suspects are re-measured in
+    high precision.
+    """
+    if len(zs) < 2:
         return None
     e = distinct_exp(n, precision)
-    approx = np.array([z.to_complex() for z in zs])
-    dist = np.abs(approx[:, None] - approx[None, :]) + np.eye(n) * 4.0
+    approx = [z.to_complex() for z in zs]
+    order = sorted(range(len(zs)), key=lambda u: approx[u].real)
+    ranked = np.array([approx[u] for u in order])
     band = max(2.0 ** -e * 4.0, 1e-12)
-    su, sv = np.nonzero(dist < band)
     thr2 = HPReal.pow2(-e, precision)
     thr2 = thr2 * thr2
-    for u, v in zip(su, sv):
-        if u < v and (zs[u] - zs[v]).abs2() <= thr2:
-            return u, v
+    for d in range(1, len(zs)):
+        for j in np.nonzero(np.abs(ranked[d:] - ranked[:-d]) < band)[0]:
+            u, v = sorted((order[j], order[j + d]))
+            if (zs[u] - zs[v]).abs2() <= thr2:
+                return u, v
+        if not (ranked.real[d:] - ranked.real[:-d] < band).any():
+            break
     return None
 
 
@@ -342,35 +411,37 @@ def _sort_roots(zs: list, band: HPReal) -> list:
     return sorted(zs, key=key)
 
 
-def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int,
-                     reps: list | None = None) -> RootSet:
+def _bounded_rootset(zs: list, c: HPComplex, n: int, precision: int,
+                     covering: list) -> RootSet:
+    """The RootSet of the ordered roots zs, with the residual bound taken
+    over `covering`, roots whose residuals cover every root of zs; the bound
+    must be at most 2**((top + 1) // 2) * contract_tol, about
+    |c| * 2**(-precision/2)."""
+    top, k = _root_scale(c, n)
+    bound = _residual_bound(covering, c, n, k, precision)
+    if bound > contract_tol(precision).scale2((top + 1) // 2):
+        raise NoConvergence(
+            f"residual bound {bound.to_float():.3g} above target for n={n}")
+    return RootSet(n=n, target=c, roots=tuple(zs),
+                   residual_bound=bound, precision=precision)
+
+
+def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
     """The RootSet of the n roots zs of z**n = c: checked, ordered, bounded.
 
     Floor, band and target are relative to the roots' scale 2**k: roots
     closer than 2**k times the distinctness floor of :func:`_collapsed_pair`
     mean the solve failed (they are never merged), the real band of the
-    order is 2**k * contract_tol, and the residual bound must be at most
-    2**((top + 1) // 2) * contract_tol, about |c| * 2**(-precision/2).
-
-    The screen and the order always run over all of zs.  The residual bound
-    runs over `reps` when given: roots whose residuals cover every root of
-    zs.  :func:`solve_unity` passes one root per symmetry orbit; each other
-    root is an exact sign flip of one of them, with the same residual, or an
-    exact axis root, with residual 0.  Without `reps` it runs over zs.
+    order is 2**k * contract_tol, and the residual bound, over every root,
+    must meet the target of :func:`_bounded_rootset`.
     """
-    top, k = _root_scale(c, n)
-    pair = _collapsed_pair([_scale2(z, -k) for z in zs], precision)
+    _, k = _root_scale(c, n)
+    pair = _collapsed_pair([_scale2(z, -k) for z in zs], n, precision)
     if pair is not None:
         raise NoConvergence(
             f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
-    tol = contract_tol(precision)
-    zs = _sort_roots(zs, tol.scale2(k))
-    bound = _residual_bound(zs if reps is None else reps, c, n, k, precision)
-    if bound > tol.scale2((top + 1) // 2):
-        raise NoConvergence(
-            f"residual bound {bound.to_float():.3g} above target for n={n}")
-    return RootSet(n=n, target=c, roots=tuple(zs),
-                   residual_bound=bound, precision=precision)
+    zs = _sort_roots(zs, contract_tol(precision).scale2(k))
+    return _bounded_rootset(zs, c, n, precision, zs)
 
 
 def _check_index(n: int, precision: int) -> None:
@@ -401,14 +472,14 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
 
 def _orbit_representatives(n: int, precision: int) -> list:
     """One root of z**n = 1 per symmetry orbit off the axes: the roots with
-    Im > 1/n, and for even n also Re > 1/n, driven to full precision.
+    Im > 1/n, and for even n also Re > 1/n, driven to full precision and
+    sorted by descending real part.
 
-    The float stage runs on all n roots, so its seeds and repulsion are
-    those of any other solve; the margin 1/n is safe because every off-axis
-    root lies at least sin(pi/n) >= 2/n from each axis it must clear, and
-    the float roots settle within about 1e-9.  Exactly ceil(n/4) - 1
-    representatives (even n) or (n - 1)/2 (odd n) must clear it, else the
-    float stage failed and NoConvergence is raised.
+    The margin 1/n is safe because every off-axis root lies at least
+    sin(pi/n) >= 2/n from each axis it must clear, and the float roots
+    settle within about 1e-9.  Exactly ceil(n/4) - 1 representatives
+    (even n) or (n - 1)/2 (odd n) must clear it, else the float stage
+    failed and NoConvergence is raised.
     """
     even = n % 2 == 0
     want = (n + 3) // 4 - 1 if even else (n - 1) // 2
@@ -417,13 +488,57 @@ def _orbit_representatives(n: int, precision: int) -> list:
     cap = 50 + 10 * n
     floats, used = _float_stage(n, 1 + 0j, cap - _HP_SWEEP_RESERVE)
     edge = 1.0 / n
-    seeds = [complex(v) for v in floats
-             if v.imag > edge and (not even or v.real > edge)]
+    keep = floats.imag > edge
+    if even:
+        keep &= floats.real > edge
+    seeds = [complex(v) for v in floats[keep]]
     if len(seeds) != want:
         raise NoConvergence(f"{len(seeds)} float roots in the fundamental "
                             f"region, expected {want}, for n={n}")
-    return _newton(seeds, HPComplex.one(precision), n, 0, precision,
+    reps = _newton(seeds, HPComplex.one(precision), n, 0, precision,
                    min(_HP_SWEEP_RESERVE, cap - used))
+    return sorted(reps, key=lambda z: -z.re)
+
+
+def _unity_layout(reps: list, n: int, precision: int) -> list:
+    """All n roots of z**n = 1 in the documented order, built from the
+    representatives R sorted by descending real part:
+
+        even n:  R, [i], reversed(-conj R), 1, -1, conj R, [-i], reversed(-R)
+        odd n:   R, 1, conj R
+
+    ([+-i] when 4 | n).  The signs of the components place each part in its
+    half plane and quadrant, and the flips keep or reverse the order of the
+    real parts, so this is the order :func:`_sort_roots` gives.
+
+    The distinctness screen runs on R and the axis roots next to it (1, and
+    i when 4 | n), plus Im z > floor/2 (and Re z > floor/2 for even n) for
+    each z in R, floor = 2**-distinct_exp(n, precision).  That is the full
+    screen.  Two images of one representative z lie 2 Im z, 2 Re z or 2|z|
+    apart.  A flip applied to both roots of a pair keeps their distance, so
+    every other pair is a representative z against another representative
+    or an axis root (screened, or for -1 and -i more than 1 away), or
+    against a flipped image of another representative w, at least
+    Im z + Im w or Re z + Re w away.  The axis roots lie sqrt(2) or more
+    apart.
+    """
+    one, i = HPComplex.one(precision), HPComplex.i(precision)
+    axis = [one] + ([i] if n % 4 == 0 else [])
+    pair = _collapsed_pair(reps + axis, n, precision)
+    if pair is not None:
+        raise NoConvergence(
+            f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
+    half = HPReal.pow2(-distinct_exp(n, precision) - 1, precision)
+    for z in reps:
+        if not (z.im > half and (n % 2 or z.re > half)):
+            raise NoConvergence(
+                "a root and its mirror image collapsed below the distinctness floor")
+    if n % 2:
+        return reps + [one] + [z.conj() for z in reps]
+    mid = axis[1:]
+    return (reps + mid + [-z.conj() for z in reversed(reps)] + [one, -one]
+            + [z.conj() for z in reps] + [-z for z in mid]
+            + [-z for z in reversed(reps)])
 
 
 def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet:
@@ -432,8 +547,10 @@ def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet
     The set is closed under conjugation, and for even n under negation;
     both are exact sign flips of the components.  So Newton runs on one
     representative per orbit (:func:`_orbit_representatives`), the axis
-    roots 1, -1 (even n) and +-i (4 | n) are inserted exactly, and every
-    other root is conj(z), -z or -conj(z) of a representative z.
+    roots 1, -1 (even n) and +-i (4 | n) are inserted exactly, every other
+    root is conj(z), -z or -conj(z) of a representative z, and the set is
+    screened and laid out in order from the representatives
+    (:func:`_unity_layout`).
 
     The residual bound is at most 2**(-precision/2), a proven upper bound
     over every root although it is evaluated on the representatives only:
@@ -449,15 +566,9 @@ def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet
         return _unity_cache[(n, precision)]
     _check_index(n, precision)
     reps = _orbit_representatives(n, precision)
-    one, i = HPComplex.one(precision), HPComplex.i(precision)
-    zs = [one]
-    if n % 2 == 0:
-        zs.append(-one)
-    if n % 4 == 0:
-        zs += [i, -i]
-    for z in reps:
-        zs += [z, z.conj()] + ([-z, -z.conj()] if n % 2 == 0 else [])
-    out = assemble_rootset(zs, one, n, precision, reps)
+    one = HPComplex.one(precision)
+    out = _bounded_rootset(_unity_layout(reps, n, precision), one, n,
+                           precision, reps)
     for z in reps:
         frac = max(fixed.exact_frac(z.re, 0), fixed.exact_frac(z.im, 0))
         x, y = _pair(z, frac)
@@ -499,7 +610,7 @@ def simple_zero_check(rootset: RootSet) -> bool:
     if not rootset.is_unity:
         raise InvalidN("simple_zero_check expects a unity root set")
     n, prec = rootset.n, rootset.precision
-    if _collapsed_pair(rootset.roots, prec) is not None:
+    if _collapsed_pair(rootset.roots, n, prec) is not None:
         return False
     floor = HPReal.from_ratio(n, 2, prec)
     for w in rootset.roots:

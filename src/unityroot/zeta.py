@@ -56,28 +56,31 @@ def select_zeta(rootset: RootSet) -> Zeta:
     if rootset.n < 3 or rootset.n % 2:
         raise InvalidN(f"select_zeta expects an even n >= 4, got {rootset.n}")
     prec = rootset.precision
-    one = HPComplex.one(prec)
-    # rank by |w - 1|^2: a rounded sqrt never reverses an order, so the two
-    # smallest distances are the square roots of the two smallest squares
-    best = None
-    second = None
+    # the roots and the bound enter the fixed-point kernel exactly, so the
+    # upper roots are found and ranked by |w - 1|^2 on exact integers
+    frac = fixed.exact_frac(rootset.residual_bound, 0)
     for w in rootset.roots:
-        if not (w.im > rootset.residual_bound):
-            continue
-        d2 = (w - one).abs2()
-        if best is None or d2 < best[0]:
-            second = best
-            best = (d2, w)
-        elif second is None or d2 < second[0]:
-            second = (d2, w)
-    if best is None:
+        frac = fixed.exact_frac(w.im, fixed.exact_frac(w.re, frac))
+    floor, unit = fixed.to_fixed(rootset.residual_bound, frac), 1 << frac
+
+    def dist2(w: HPComplex) -> int:
+        x, y = fixed.to_fixed(w.re, frac) - unit, fixed.to_fixed(w.im, frac)
+        return x * x + y * y
+
+    upper = [w for w in rootset.roots if fixed.to_fixed(w.im, frac) > floor]
+    # the rounded |w - 1|^2 is monotone in the exact one and a rounded sqrt
+    # never reverses an order, so the two smallest distances are the square
+    # roots of the rounded squares of the two exactly smallest
+    one = HPComplex.one(prec)
+    ranked = [((w - one).abs2(), w) for w in sorted(upper, key=dist2)[:2]]
+    if not ranked:
         raise NoUpperRoot(f"no root above the real axis for n={rootset.n}")
-    r = best[0].sqrt()
+    (d2, w), rest = ranked[0], ranked[1:]
+    r = d2.sqrt()
     tie_gap = HPReal.pow2(-distinct_exp(rootset.n, prec), prec)
-    if second is not None and second[0].sqrt() - r <= tie_gap:
+    if rest and rest[0][0].sqrt() - r <= tie_gap:
         raise AmbiguousMinimizer(
             "two minimizers within the tie tolerance; the solve is suspect")
-    w = best[1]
     zero = HPReal.zero(prec)
     one_r = HPReal.one(prec)
     if not (zero < w.re < one_r and zero < w.im < one_r):

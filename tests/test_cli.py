@@ -220,6 +220,12 @@ class TestErrorsAndFormats:
         assert code == EXIT_OK
         assert json.loads(out)["n"] == 2048
 
+    def test_verify_2048_at_32_bits_succeeds(self, capsys):
+        # exited 2 with NonDescent: -1 lay inside the descent's exit band
+        code, out = run_cli(capsys, "verify", "--n", "2048", "--precision", "32")
+        assert code == EXIT_OK
+        assert json.loads(out)["passed"]
+
     @pytest.mark.parametrize("argv", [("zeta", "--n", "320"),
                                       ("roots", "--n", "307")])
     def test_large_n_solves(self, capsys, argv):

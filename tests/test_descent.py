@@ -201,6 +201,16 @@ class TestCertificate:
         cert = build_certificate(construct_zeta(1024, 32), solve_unity(1024, 32))
         assert cert.checks.all_passed and cert.p == 512
 
+    def test_correct_zeta_at_2048_and_32_bits(self):
+        # the last step, 1 - cos(2 pi/2048) ~ 2**-17.6, lies inside the
+        # clamping tolerance 2**-16: x_1024 = -1 did not exit and the next
+        # step raised NonDescent
+        zeta = construct_zeta(2048, 32)
+        xs, p = descent_sequence(zeta)
+        assert p == 1024 and xs[-1] == -HPReal.one(32)
+        cert = build_certificate(zeta, solve_unity(2048, 32))
+        assert cert.checks.all_passed
+
     def test_mismatched_rootset_rejected(self, zeta6):
         with pytest.raises(InvalidN):
             build_certificate(zeta6, solve_unity(8))

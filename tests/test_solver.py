@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
                        solve_binomial, solve_unity)
 from unityroot import fixed, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
-from unityroot.solver import (_HP_SWEEP_RESERVE, _float_stage, assemble_rootset,
-                              newton_root)
+from unityroot.solver import (_HP_SWEEP_RESERVE, _float_stage, _sort_roots,
+                              _sqrt, _unity_layout, assemble_rootset,
+                              contract_tol, distinct_exp, newton_root)
 from conftest import exact
 
 # the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
@@ -132,6 +135,84 @@ class TestLargeN:
             if sweeps > 40:
                 slow[n] = sweeps
         assert not slow
+
+
+def same_floats(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSquareRootLifting:
+    TARGETS = [1 + 0j, complex(-7, 3), complex(0.6, -1.3), complex(-2.0 ** 200, 0)]
+
+    def test_even_float_roots_are_square_roots_of_half_index(self):
+        wrong = []
+        for n in (2, 4, 6, 12, 20, 64, 96, 1024):
+            for c in self.TARGETS:
+                z, used = _float_stage(n, c, 50 + 10 * n)
+                y, half_used = _float_stage(n // 2, c, 50 + 10 * n)
+                w = _sqrt(y)
+                if not (same_floats(z, np.concatenate((w, -w)))
+                        and used == half_used):
+                    wrong.append((n, c))
+        assert not wrong
+
+    def test_sqrt_is_the_principal_root(self):
+        ys = np.array([1, -1, 1j, -1j, 4, -4, complex(-7, 3), complex(-7, -3),
+                       complex(3, -1e-12), complex(-1e-9, 2), complex(2, -0.0),
+                       complex(-2, 0.0), complex(-2, -0.0), complex(0.3, 0.9)])
+        w = _sqrt(ys)
+        for got, y in zip(w, ys):
+            want = cmath.sqrt(y)
+            assert got.real >= 0
+            assert abs(got - want) <= 2.0 ** -51 * abs(want), (y, got, want)
+
+    def test_sqrt_does_not_overflow_at_the_top_of_the_range(self):
+        # (|y| + |Re y|)/2 formed directly overflows to inf here
+        ys = np.array([complex(1.7e308, 0), complex(1.2e308, 1.2e308),
+                       complex(-1.7e308, 1e300), complex(-1e308, -1.5e308)])
+        w = _sqrt(ys)
+        for got, y in zip(w, ys):
+            want = cmath.sqrt(y)
+            assert abs(got - want) <= 2.0 ** -51 * abs(want), (y, got, want)
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_binomial_at_the_top_of_the_reduced_range(self, n):
+        # |c / 2**(kn)| just below 2**(n - 1/2), the top of its range (the
+        # last target of each group lies just past it, so k rises by one):
+        # the lifting starts from the root of z**m = c for the odd part
+        # m = 1 of n, that is from c itself
+        failed = []
+        for num, den in ((7, 5), (1414, 1000)):
+            for shift in (0, 3 * n):
+                re = HPReal.from_ratio(num, den).scale2(n - 1 + shift)
+                for c in (HPComplex(re, HPReal.zero()),
+                          HPComplex(re * HPReal.from_ratio(3, 5),
+                                    re * HPReal.from_ratio(4, 5)),
+                          HPComplex(-re, re.scale2(-3))):
+                    rs = solve_binomial(c, n)
+                    if len(rs.roots) != n or rs.residual_bound > abs(c).scale2(-64):
+                        failed.append((num, shift, c.to_complex()))
+        assert not failed
+
+
+class TestBlockedRepulsion:
+    @staticmethod
+    def full_matrix(z, idx):
+        rows = np.arange(len(idx))
+        inv = z[idx][:, None] - z[None, :]
+        inv[rows, idx] = 1.0
+        np.divide(1.0, inv, out=inv)
+        inv[rows, idx] = 0.0
+        return inv.sum(axis=1)
+
+    @pytest.mark.parametrize("c", [1 + 0j, complex(-7, 3)])
+    def test_blocks_match_the_full_matrix(self, monkeypatch, c):
+        n = 771  # odd, more than three blocks of rows
+        assert n > 3 * solver._BLOCK
+        got = _float_stage(n, c, 50 + 10 * n)
+        monkeypatch.setattr(solver, "_repulsion", self.full_matrix)
+        want = _float_stage(n, c, 50 + 10 * n)
+        assert got[1] == want[1] and same_floats(got[0], want[0])
 
 
 class TestBinomial:
@@ -384,6 +465,37 @@ class TestSymmetricUnity:
             if axis != want:
                 wrong.append((n, precision))
         assert not wrong
+
+    def test_layout_is_the_sorted_order(self):
+        moved = []
+        for n, precision in self.CASES:
+            roots = solve_unity(n, precision).roots
+            want = _sort_roots(list(roots), contract_tol(precision))
+            if [bits(z) for z in roots] != [bits(z) for z in want]:
+                moved.append((n, precision))
+        assert not moved
+
+    def test_representative_screen(self):
+        rs = solve_unity(12)
+        reps = list(rs.roots[:representatives(12)])
+        layout = _unity_layout(reps, 12, 128)
+        assert [bits(z) for z in layout] == [bits(z) for z in rs.roots]
+        floor = HPReal.pow2(-distinct_exp(12, 128))
+        quarter = floor.scale2(-2)
+        one = HPReal.one()
+        bad = [
+            # a duplicated representative
+            [reps[0], reps[0]],
+            # within floor/2 of the real axis: its conjugate is within floor
+            [HPComplex(reps[0].re, quarter), reps[1]],
+            # within floor/2 of the imaginary axis: so is -conj(z)
+            [reps[0], HPComplex(quarter, reps[1].im)],
+            # more than floor/2 off both axes, but within floor of 1
+            [HPComplex(one - quarter, floor * HPReal.from_ratio(3, 4)), reps[1]],
+        ]
+        for wrong in bad:
+            with pytest.raises(NoConvergence, match="collapsed"):
+                _unity_layout(wrong, 12, 128)
 
     def test_newton_and_bound_run_on_one_root_per_orbit(self, monkeypatch):
         steps, bounds = [], []

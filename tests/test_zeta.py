@@ -136,6 +136,43 @@ def test_select_ambiguous_minimizer():
         select_zeta(fake)
 
 
+def test_select_ambiguous_minimizer_in_any_order():
+    prec = 128
+    half = HPReal.from_ratio(1, 2, prec)
+    w1 = HPComplex(half, half)
+    w2 = HPComplex(half + HPReal.pow2(-100, prec), half)
+    far = HPComplex(-half, half)
+    for roots in ((w2, far, w1), (far, w1, w2), (w1, w1)):
+        fake = RootSet(n=4, target=HPComplex.one(prec), roots=roots,
+                       residual_bound=HPReal.pow2(-80), precision=prec)
+        with pytest.raises(AmbiguousMinimizer):
+            select_zeta(fake)
+
+
+def hpreal_ranking(rootset):
+    """(w, r) by the rounded HPReal |w - 1|^2 over every root with
+    Im w > residual_bound, the first of equal values winning."""
+    one = HPComplex.one(rootset.precision)
+    upper = [((w - one).abs2(), w) for w in rootset.roots
+             if w.im > rootset.residual_bound]
+    d2, w = sorted(upper, key=lambda t: t[0])[0]
+    return w, d2.sqrt()
+
+
+def test_integer_ranking_matches_hpreal_ranking():
+    def bits(v):
+        return v.sign, v.mantissa, v.exponent
+
+    moved = []
+    for n in range(6, 301, 2):
+        rs = solve_unity(n)
+        z = select_zeta(rs)
+        w, r = hpreal_ranking(rs)
+        if [bits(v) for v in (z.a, z.b, z.r)] != [bits(v) for v in (w.re, w.im, r)]:
+            moved.append(n)
+    assert not moved
+
+
 def test_invalid_n_rejected():
     with pytest.raises(InvalidN):
         construct_zeta(0)

@@ -8,9 +8,10 @@ The first form prints one line per command group: the group name, the
 number of commands and the SHA-256 over every command's exit code and
 standard output, in order.  Run it on two checkouts to show that a change
 leaves the output byte-identical.  The groups are `verify`, `roots` and
-`zeta --certificate` for every n in 1..150, five `roots-of` targets and four
-`dft` inputs.  With `--dump` it also writes each command's output to a JSON
-file.
+`zeta --certificate` for every n in 1..150, five `roots-of` targets, four
+`dft` inputs, and `low-precision`: `verify` and `roots` at (n, precision) =
+(1024, 32) and (2048, 32), then `roots --n 32 --precision 33`.  With `--dump`
+it also writes each command's output to a JSON file.
 
 `--compare` reads two dumps and prints, for each group, the number of
 commands whose output changed and the largest change of the numbers under
@@ -39,6 +40,8 @@ from fractions import Fraction
 ROOTS_OF = [("3", "-8", "0"), ("5", "2", "3"), ("7", "0.5", "-0.25"),
             ("12", "1e10", "0"), ("2", "0", "-1")]
 DFT_NS = (4, 8, 16, 33)
+LOW_PRECISION = [(cmd, n, "32") for n in ("1024", "2048")
+                 for cmd in ("verify", "roots")] + [("roots", "32", "33")]
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 KEY = re.compile(r'"([^"]+)":')
@@ -73,6 +76,8 @@ def _groups(tmp: str) -> dict:
                      for n, re_, im in ROOTS_OF],
         "dft": [["dft", "--input", _dft_input(tmp, i, n)]
                 for i, n in enumerate(DFT_NS)],
+        "low-precision": [[cmd, "--n", n, "--precision", precision]
+                          for cmd, n, precision in LOW_PRECISION],
     }
 
 
