@@ -13,8 +13,12 @@ that together with the interval partition, the reconstruction of all n roots
 from powers and conjugates, and a proof that the outer arcs contain no
 further roots.
 
-sqrt(1 - x^2) is evaluated as sqrt((1-x)*(1+x)) to avoid cancellation near
-the endpoints.
+Both maps, and every step of the descent, run in the fixed-point kernel
+(:func:`unityroot.fixed.rotate_re`): a, b and the argument enter exactly at
+precision + 64 fraction bits or more, sqrt(1 - x^2) is the integer square
+root of the exact (1 - x)(1 + x), and each returned value, each x_k of the
+descent included, is rounded once.  The descent iterates on the unrounded
+integers, so its rounding errors stay at the 64 guard bits.
 
 The last two checks read one table of powers P_k ~ zeta^k, k = 0..p, formed
 on integer pairs by :func:`unityroot.fixed.powers`.  The arc exclusion is
@@ -43,31 +47,20 @@ from .zeta import Zeta
 _ALPHA_EXP = 6
 
 
-def _semicircle_height(x: HPReal) -> HPReal:
-    one = HPReal.one(x.precision)
-    return ((one - x) * (one + x)).sqrt()
-
-
-def _advance_map(zeta: Zeta):
-    """advance_re(., zeta) with its constants (the clamping tolerance, 1, -a
-    and the two domain bounds) computed once."""
-    tol = contract_tol(zeta.precision)
-    one = HPReal.one(zeta.precision)
-    a, b = zeta.a, zeta.b
-    lo = -a
-    top, bottom = one + tol, lo - tol
-
-    def advance(x: HPReal) -> HPReal:
-        if x > top or x < bottom:
-            raise DomainViolation(
-                f"advance_re argument {x.to_float()} outside [-a, 1]")
-        if x > one:
-            x = one
-        elif x < lo:
-            x = lo
-        return a * x - b * ((one - x) * (one + x)).sqrt()
-
-    return advance
+def _rotate_re(x: HPReal, zeta: Zeta, sign: int) -> HPReal:
+    """advance_re (sign 1) or retreat_re (sign -1) of x: one
+    :func:`unityroot.fixed.rotate_re` step, rounded once."""
+    prec = zeta.precision
+    frac, (a, b, v) = fixed.lift((zeta.a, zeta.b, x), fixed.frac_bits(prec))
+    one = 1 << frac
+    lo, hi = (-a, one) if sign > 0 else (-one, a)
+    tol = fixed.to_fixed(contract_tol(prec), frac)
+    if not lo - tol <= v <= hi + tol:
+        name, domain = (("advance_re", "[-a, 1]") if sign > 0
+                        else ("retreat_re", "[-1, a]"))
+        raise DomainViolation(f"{name} argument {x.to_float()} outside {domain}")
+    y = fixed.rotate_re(min(max(v, lo), hi), a, sign * b, frac)
+    return fixed.to_hpreal(y, frac, prec)
 
 
 def advance_re(x: HPReal, zeta: Zeta) -> HPReal:
@@ -77,20 +70,12 @@ def advance_re(x: HPReal, zeta: Zeta) -> HPReal:
     DomainViolation; within that band they are clamped to the boundary, which
     is sound because the map extends continuously to the closed interval.
     """
-    return _advance_map(zeta)(x)
+    return _rotate_re(x, zeta, 1)
 
 
 def retreat_re(y: HPReal, zeta: Zeta) -> HPReal:
     """The inverse map a*y + b*sqrt(1-y^2) with clamping on [-1, a]."""
-    tol = contract_tol(zeta.precision)
-    one = HPReal.one(zeta.precision)
-    if y > zeta.a + tol or y < -one - tol:
-        raise DomainViolation(f"retreat_re argument {y.to_float()} outside [-1, a]")
-    if y > zeta.a:
-        y = zeta.a
-    elif y < -one:
-        y = -one
-    return zeta.a * y + zeta.b * _semicircle_height(y)
+    return _rotate_re(y, zeta, -1)
 
 
 def advance_re_derivative(x: HPReal, zeta: Zeta) -> HPReal:
@@ -100,15 +85,20 @@ def advance_re_derivative(x: HPReal, zeta: Zeta) -> HPReal:
     are rejected.
     """
     prec = zeta.precision
-    guard = HPReal.one(prec) - HPReal.pow2(-(prec // 4), prec)
-    if not (-zeta.a < x < HPReal.one(prec)) or abs(x) > guard:
+    one = HPReal.one(prec)
+    guard = one - HPReal.pow2(-(prec // 4), prec)
+    if not (-zeta.a < x < one) or abs(x) > guard:
         raise DomainViolation(
             f"derivative argument {x.to_float()} outside the open domain")
-    return zeta.a + zeta.b * x / _semicircle_height(x)
+    return zeta.a + zeta.b * x / ((one - x) * (one + x)).sqrt()
 
 
 def descent_sequence(zeta: Zeta, max_steps: int | None = None):
     """Iterate advance_re from x_0 = 1 until the iterate leaves [-a, 1].
+
+    The iterates stay unrounded integers in units of 2**-frac,
+    frac >= precision + 64, through :func:`unityroot.fixed.rotate_re`; each
+    x_k is rounded once into xs, so x_0 = 1 and x_1 = a exactly.
 
     Returns (xs, p) where xs = [x_0, ..., x_p] and x_p is the first element
     below -a by more than min(2**(-precision/2), (1 - a)/2): past the
@@ -125,23 +115,22 @@ def descent_sequence(zeta: Zeta, max_steps: int | None = None):
         max_steps = zeta.n
     if max_steps < zeta.n:
         raise InvalidN("max_steps must be at least n")
-    one = HPReal.one(zeta.precision)
-    exit_bound = -zeta.a - min(contract_tol(zeta.precision),
-                               (one - zeta.a).scale2(-1))
-    advance = _advance_map(zeta)
+    prec = zeta.precision
+    frac, (a, b) = fixed.lift((zeta.a, zeta.b), fixed.frac_bits(prec))
+    one = 1 << frac
+    exit_bound = -a - min(fixed.to_fixed(contract_tol(prec), frac),
+                          (one - a) >> 1)
     xs = [one]
-    while True:
-        cur = xs[-1]
-        if cur < exit_bound:
-            break
+    while xs[-1] >= exit_bound:
         if len(xs) > max_steps:
             raise StepLimit(f"no exit from [-a, 1] within {max_steps} steps")
-        nxt = advance(cur)
-        if not (nxt < cur):
-            raise NonDescent(
-                f"x_{len(xs)} = {nxt.to_float()} did not decrease")
+        nxt = fixed.rotate_re(max(xs[-1], -a), a, b, frac)
+        if nxt >= xs[-1]:
+            raise NonDescent(f"x_{len(xs)} = "
+                             f"{fixed.to_hpreal(nxt, frac, prec).to_float()} "
+                             "did not decrease")
         xs.append(nxt)
-    return xs, len(xs) - 1
+    return [fixed.to_hpreal(x, frac, prec) for x in xs], len(xs) - 1
 
 
 @dataclass
@@ -180,11 +169,9 @@ def _scaled_powers(zeta: Zeta, xs, m: int) -> tuple:
     """(frac, X, P): frac = precision + 64, raised until a, b and every x_k
     convert exactly; X the integers x_k * 2**frac; P = [P_0, ..., P_m], the
     powers of w = a + ib from :func:`unityroot.fixed.powers`."""
-    frac = fixed.frac_bits(zeta.precision)
-    for v in (zeta.a, zeta.b, *xs):
-        frac = fixed.exact_frac(v, frac)
-    w = (fixed.to_fixed(zeta.a, frac), fixed.to_fixed(zeta.b, frac))
-    return frac, [fixed.to_fixed(x, frac) for x in xs], fixed.powers(w, m, frac)
+    frac, (a, b, *scaled) = fixed.lift((zeta.a, zeta.b, *xs),
+                                       fixed.frac_bits(zeta.precision))
+    return frac, scaled, fixed.powers((a, b), m, frac)
 
 
 def _reconstruction_ok(p: int, frac: int, xs: list, pw: list,

@@ -1,21 +1,23 @@
 """Twiddle tables and a reference discrete Fourier transform.
 
 The forward kernel is conj(zeta)^k (the conventional negative-frequency
-sign); the inverse kernel is zeta^k.  Tables are built by iterated
-multiplication, re-anchored to an exact power every 16 steps to bound the
-multiplicative drift.  The transform itself is the O(n^2) definition; it
-exists to exercise the constructed root, not to be fast.
+sign); the inverse kernel is zeta^k.  A table is built in the fixed-point
+kernel (:mod:`unityroot.fixed`): the rounded zeta is refined by one Newton
+step on z^n = 1, its powers are formed by iterated multiplication with 64
+guard bits, and each component is rounded once, so the drift of repeated
+multiplication (Van Loan 1992, section 1.4) stays below the last bit kept.
+The transform itself is the O(n^2) definition; it exists to exercise the
+constructed root, not to be fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import fixed
 from .errors import InvalidN
 from .hpcomplex import HPComplex
 from .zeta import construct_zeta
-
-_REANCHOR = 16
 
 _table_cache: dict = {}
 
@@ -34,15 +36,13 @@ def twiddle_table(n: int, precision: int = 128) -> TwiddleTable:
     key = (n, precision)
     if key in _table_cache:
         return _table_cache[key]
-    w = construct_zeta(n, precision).as_complex()
-    inverse = [HPComplex.one(precision)]
-    for k in range(1, n):
-        if k % _REANCHOR == 0:
-            inverse.append(w.pow(k))
-        else:
-            inverse.append(inverse[-1] * w)
+    zeta = construct_zeta(n, precision)
+    frac, w = fixed.refine_unity(zeta.a, zeta.b, n, precision)
+    inverse = tuple(HPComplex(fixed.to_hpreal(re, frac, precision),
+                              fixed.to_hpreal(im, frac, precision))
+                    for re, im in fixed.powers(w, n - 1, frac))
     forward = tuple(z.conj() for z in inverse)
-    out = TwiddleTable(n=n, forward=forward, inverse=tuple(inverse),
+    out = TwiddleTable(n=n, forward=forward, inverse=inverse,
                        precision=precision)
     _table_cache[key] = out
     return out

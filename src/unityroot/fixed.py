@@ -2,10 +2,11 @@
 
 A real x is held as the integer X = x * 2**frac, a complex value as the pair
 (re, im) of such integers.  Products are exact integer products truncated
-once by a floor shift, so every operation here is a field operation on
-integers.  The solver's Newton stage and residual bound run on these
-helpers and round back to :class:`HPReal` once, at the end; the
-certificate reads its powers of zeta from :func:`powers`.
+once by a floor shift, so every operation here is a field operation or an
+integer square root on integers.  The solver's Newton stage and residual
+bound, the certificate's descent (:func:`rotate_re`) and powers of zeta, and
+the DFT's twiddle table run on these helpers and round back to
+:class:`HPReal` once, at the end.
 
 Working at frac = precision + GUARD_BITS fraction bits leaves 64 bits below
 the last bit a result keeps, so a value whose error is a few units of
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, NegativeSqrt, NoConvergence
 from .hpreal import HPReal, round_raw
 
 GUARD_BITS = 64
@@ -44,6 +45,14 @@ def to_fixed(x: HPReal, frac: int) -> int:
 def exact_frac(x: HPReal, frac: int) -> int:
     """The least frac' >= frac at which to_fixed(x, frac') is exact."""
     return frac if x.sign == 0 else max(frac, -x.exponent)
+
+
+def lift(values, frac: int) -> tuple:
+    """(frac', [v * 2**frac' for v in values]) for HPReal values, frac' the
+    least frac' >= frac at which every value converts exactly."""
+    for v in values:
+        frac = exact_frac(v, frac)
+    return frac, [to_fixed(v, frac) for v in values]
 
 
 def to_hpreal(v: int, frac: int, precision: int) -> HPReal:
@@ -171,3 +180,32 @@ def newton_step(y: tuple, c: tuple, n: int, frac: int) -> tuple:
     if not den:
         raise DivisionByZero("Newton step at z = 0")
     return ((rr * pr + ri * pi) << frac) // den, ((ri * pr - rr * pi) << frac) // den
+
+
+def refine_unity(a: HPReal, b: HPReal, n: int, precision: int) -> tuple:
+    """(frac, y): a + ib lifted exactly at frac_bits(precision) fraction bits
+    or more, then Newton steps on z**n = 1 until a step d has
+    (n - 1) |d|**2 <= u = 2**-frac.  A step from y lands about
+    (n - 1) |y - omega|**2 / 2 from the root omega and |d| ~ |y - omega|, so
+    y ends a few units u from omega: one step from a root rounded to
+    precision >= 64 + log2(n) bits, more at lower precision."""
+    frac, y = lift((a, b), frac_bits(precision))
+    for _ in range(frac.bit_length()):
+        d = newton_step(tuple(y), (1 << frac, 0), n, frac)
+        y = y[0] - d[0], y[1] - d[1]
+        if (n - 1) * (d[0] * d[0] + d[1] * d[1]) <= 1 << frac:
+            return frac, y
+    raise NoConvergence(f"refining a root of z**{n} = 1 did not converge")
+
+
+def rotate_re(x: int, a: int, b: int, frac: int) -> int:
+    """Re((a + ib)(x + i sqrt(1 - x**2))) = a x - b sqrt((1 - x)(1 + x)) for
+    |x| <= 1, all in units u = 2**-frac: the real part of one rotation of the
+    upper unit semicircle (b < 0 rotates backward).  The square root is the
+    floor root of the exact (1 - x)(1 + x) * 4**frac and the sum is floored
+    once, so for |b| <= 1 the result is within 2 u of the rotation of x."""
+    one = 1 << frac
+    h = (one - x) * (one + x)
+    if h < 0:
+        raise NegativeSqrt(f"rotation of a real part {x} * 2**-{frac} beyond 1")
+    return (a * x - b * math.isqrt(h)) >> frac

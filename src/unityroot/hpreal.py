@@ -23,22 +23,6 @@ MIN_PRECISION = 32
 # ---------------------------------------------------------------------------
 
 
-def _isqrt(v: int) -> int:
-    """Floor integer square root by Newton iteration.
-
-    The initial guess ``2**ceil(bits/2)`` is an upper bound, after which the
-    iteration decreases monotonically and stops at the floor root.
-    """
-    if v == 0:
-        return 0
-    x = 1 << ((v.bit_length() + 1) >> 1)
-    while True:
-        y = (x + v // x) >> 1
-        if y >= x:
-            return x
-        x = y
-
-
 def round_raw(sign: int, mant: int, exp: int, precision: int, sticky: bool = False):
     """Round a raw magnitude to `precision` bits, round-half-to-even.
 
@@ -266,7 +250,7 @@ class HPReal:
         if (self.exponent - shift) & 1:
             shift += 1
         scaled = self.mantissa << shift
-        root = _isqrt(scaled)
+        root = math.isqrt(scaled)
         s, m, e = round_raw(1, root, (self.exponent - shift) >> 1, prec,
                              sticky=root * root != scaled)
         return HPReal._raw(s, m, e, prec)

@@ -334,16 +334,12 @@ def _residual_bound(zs: list, c: HPComplex, n: int, k: int,
     :func:`fixed.power_error`).  The largest such integer N over the roots
     gives |z**n - c| <= N * 2**(k n - frac), which is rounded upward once.
     """
-    frac = fixed.frac_bits(precision)
-    for v in (c.re, c.im):
-        frac = fixed.exact_frac(v, frac - k * n) + k * n
-    for z in zs:
-        for v in (z.re, z.im):
-            frac = fixed.exact_frac(v, frac - k) + k
-    cr, ci = _pair(c, frac - k * n)
+    scaled = [_scale2(c, -k * n)] + [_scale2(z, -k) for z in zs]
+    frac, parts = fixed.lift([v for z in scaled for v in (z.re, z.im)],
+                             fixed.frac_bits(precision))
+    cr, ci = parts[:2]
     worst = 0
-    for z in zs:
-        y = _pair(z, frac - k)
+    for y in zip(parts[2::2], parts[3::2]):
         pr, pi = fixed.power(y, n, frac)
         norm = (pr - cr) ** 2 + (pi - ci) ** 2
         r = math.isqrt(norm)
@@ -570,8 +566,7 @@ def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet
     out = _bounded_rootset(_unity_layout(reps, n, precision), one, n,
                            precision, reps)
     for z in reps:
-        frac = max(fixed.exact_frac(z.re, 0), fixed.exact_frac(z.im, 0))
-        x, y = _pair(z, frac)
+        frac, (x, y) = fixed.lift((z.re, z.im), 0)
         gap = abs(x * x + y * y - (1 << 2 * frac))  # | |z|^2 - 1 | 4**frac
         # exact: the precision holds every bit of gap
         off = fixed.to_hpreal(gap, 2 * frac, max(gap.bit_length(), 32))

@@ -5,9 +5,9 @@ minimizes the distance to 1; call it zeta = a + ib with radius r = |zeta - 1|.
 For even n >= 6 it is read directly off the solved root set.  n = 1, 2, 4 are
 hard-wired (1, -1, i).  Every other n (the odd ones) goes through the doubled
 index: zeta(2n) is constructed and squared, which lands on the minimizer for
-n itself.  The square is taken in the fixed-point kernel after one Newton
-step from the rounded zeta(2n) and rounded once, so odd-n zeta is correctly
-rounded like the even indices.
+n itself.  The square is taken in the fixed-point kernel after Newton
+refinement of the rounded zeta(2n) and rounded once, so odd-n zeta is
+correctly rounded like the even indices.
 """
 
 from __future__ import annotations
@@ -58,21 +58,17 @@ def select_zeta(rootset: RootSet) -> Zeta:
     prec = rootset.precision
     # the roots and the bound enter the fixed-point kernel exactly, so the
     # upper roots are found and ranked by |w - 1|^2 on exact integers
-    frac = fixed.exact_frac(rootset.residual_bound, 0)
-    for w in rootset.roots:
-        frac = fixed.exact_frac(w.im, fixed.exact_frac(w.re, frac))
-    floor, unit = fixed.to_fixed(rootset.residual_bound, frac), 1 << frac
-
-    def dist2(w: HPComplex) -> int:
-        x, y = fixed.to_fixed(w.re, frac) - unit, fixed.to_fixed(w.im, frac)
-        return x * x + y * y
-
-    upper = [w for w in rootset.roots if fixed.to_fixed(w.im, frac) > floor]
+    frac, (floor, *parts) = fixed.lift(
+        [rootset.residual_bound] + [v for w in rootset.roots for v in (w.re, w.im)], 0)
+    unit = 1 << frac
+    upper = [((x - unit) ** 2 + y * y, w)
+             for w, x, y in zip(rootset.roots, parts[::2], parts[1::2]) if y > floor]
     # the rounded |w - 1|^2 is monotone in the exact one and a rounded sqrt
     # never reverses an order, so the two smallest distances are the square
     # roots of the rounded squares of the two exactly smallest
     one = HPComplex.one(prec)
-    ranked = [((w - one).abs2(), w) for w in sorted(upper, key=dist2)[:2]]
+    ranked = [((w - one).abs2(), w)
+              for _, w in sorted(upper, key=lambda t: t[0])[:2]]
     if not ranked:
         raise NoUpperRoot(f"no root above the real axis for n={rootset.n}")
     (d2, w), rest = ranked[0], ranked[1:]
@@ -96,10 +92,8 @@ def construct_zeta(n: int, precision: int = 128, use_cache: bool = True) -> Zeta
     solve_unity(n).  Odd n squares zeta(2n): if w generates all 2n-th roots,
     w^2, w^4, ..., w^(2n) are exactly the n distinct n-th roots, and squaring
     the doubled minimizer lands on the minimizer for n.  The rounded zeta(2n)
-    enters :mod:`unityroot.fixed` exactly, at frac_bits(precision) fraction
-    bits or more; one Newton step on z**(2n) = 1 puts it within a few units
-    of 2**-frac of the exact root (the seed is 2**-precision off and the
-    step converges quadratically), and its square is rounded once per
+    is refined within a few units of 2**-frac of the exact root by
+    :func:`unityroot.fixed.refine_unity`, and its square is rounded once per
     component.
     """
     if n < 1:
@@ -119,14 +113,9 @@ def construct_zeta(n: int, precision: int = 128, use_cache: bool = True) -> Zeta
         out = select_zeta(solve_unity(n, precision, use_cache=use_cache))
     else:
         doubled = select_zeta(solve_unity(2 * n, precision, use_cache=use_cache))
-        # one Newton step on z**(2n) = 1 from the rounded zeta(2n), then the
-        # square, both in the fixed-point kernel: one rounding per component
-        frac = fixed.frac_bits(precision)
-        for v in (doubled.a, doubled.b):
-            frac = fixed.exact_frac(v, frac)
-        y = fixed.to_fixed(doubled.a, frac), fixed.to_fixed(doubled.b, frac)
-        d = fixed.newton_step(y, (1 << frac, 0), 2 * n, frac)
-        y = y[0] - d[0], y[1] - d[1]
+        # Newton on z**(2n) = 1 from the rounded zeta(2n), then the square,
+        # both in the fixed-point kernel: one rounding per component
+        frac, y = fixed.refine_unity(doubled.a, doubled.b, 2 * n, precision)
         sq = HPComplex(*(fixed.to_hpreal(v, frac, precision)
                          for v in fixed.mul(y, y, frac)))
         r = abs(sq - HPComplex.one(precision))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from unityroot import (HPComplex, HPReal, InvalidN, construct_zeta,
@@ -49,6 +50,30 @@ def test_reanchoring_bounds_drift():
         drift = (t.forward[k] - w.pow(k).conj()).abs2()
         worst = max(worst, exact(drift))
     assert worst <= Fraction(1, 2 ** 224)  # (2**-112)**2
+
+
+@pytest.mark.parametrize("precision", [32, 128])
+def test_every_twiddle_is_rounded_once(precision):
+    # each component lies within half an ulp at its own scale, plus
+    # 2**-(precision + 32), of cos and sin (2 pi k / n) at 400 bits
+    slack = Fraction(1, 2 ** (precision + 32))
+    worst = Fraction(0)
+    with mpmath.workprec(400):
+        for n in (3, 7, 48, 64, 1024):
+            t = twiddle_table(n, precision)
+            for k, z in enumerate(t.inverse):
+                turn = mpmath.mpf(2 * k) / n
+                for got, want in ((z.re, mpmath.cospi(turn)),
+                                  (z.im, mpmath.sinpi(turn))):
+                    man, exp = want.man_exp  # the mantissa of |want|
+                    mag = Fraction(man) * Fraction(2) ** exp
+                    half_ulp = Fraction(0)
+                    if man:
+                        top = exp + man.bit_length() - 1  # 2**top <= mag
+                        half_ulp = Fraction(2) ** (top - precision)
+                    ref = -mag if want < 0 else mag
+                    worst = max(worst, abs(exact(got) - ref) / (half_ulp + slack))
+    assert worst <= 1, float(worst)
 
 
 def test_delta_transforms_to_ones():

@@ -181,3 +181,20 @@ class TestRootsOf:
             if len(rs.roots) != n or rs.residual_bound > abs(c).scale2(-(precision // 2)):
                 failed.append((re, im, exp, n, precision, rs.residual_bound.to_float()))
         assert not failed
+
+    def test_low_precision_n1024_meets_the_solver_bound(self):
+        # twiddles built from repeated rounded products drifted j times an
+        # ulp, so this raised "residual bound 9.63e+08 above target"
+        c = HPComplex(HPReal.from_int(-7, 32).scale2(40),
+                      HPReal.from_int(3, 32).scale2(40))
+        got = roots_of(c, 1024, precision=32)
+        want = solve_binomial(c, 1024, precision=32)
+        assert got.residual_bound <= want.residual_bound.scale2(2)
+
+    def test_matches_solve_binomial_at_n1024_and_1024_bits(self):
+        c = HPComplex(HPReal.from_int(-7, 1024), HPReal.from_int(3, 1024))
+        a = roots_of(c, 1024, 1024)
+        b = solve_binomial(c, 1024, 1024)
+        # both sets come out in the solver's documented order
+        tol2 = HPReal.pow2(-1000, 1024)
+        assert all((z - w).abs2() <= tol2 for z, w in zip(a.roots, b.roots))
