@@ -228,10 +228,32 @@ def _arc_exclusion_ok(n: int, frac: int, xs: list, pw: list) -> bool:
     The check asks for 2**6 B (n - 1) u < 1; then omega^n = 1 and
     |w - omega| <= 2Bu.
 
-    (2) Enclosures: for k <= p, |Re(omega^k) - x_k| is at most
-    |x_k - Re P_k| + e_k + k |w - omega| max(|w|, |omega|)^(k-1), and
-    2 beta p = beta n < 2**-5 from (1), so (1 + 2 beta)^(k-1) <= 32/31 < 2;
-    hence |Re(omega^k) - x_k| <= E_k := |x_k - Re P_k| + k (2 + 4B) u.
+    (2) Enclosures.  Write w = omega (1 + delta), so
+    |delta| = |w - omega| <= rho := 2Bu, and k rho <= nBu < 2**-5 for k <= p
+    by (1); hence (1 + rho)^k <= e^(1/32) < 32/31.  Expand
+    (1 + delta)^k = 1 + k delta + R_k with
+    |R_k| <= e^(k rho) - 1 - k rho <= (k rho)^2, and split delta into its
+    radial part Re delta and its tangential part Im delta:
+
+        Re(w^k) - Re(omega^k) = k (Re(omega^k) Re delta
+                                   - Im(omega^k) Im delta) + Re(omega^k R_k).
+
+    The radial part comes from the exact |w|^2 = |1 + delta|^2
+    = 1 + 2 Re delta + |delta|^2, so |Re delta| <= (| |w|^2 - 1 | + rho^2)/2,
+    where | |w|^2 - 1 | = N u^2 with the exact integer
+    N = |a^2 + b^2 - 2^(2 frac)| (a, b in units u).  The tangential part is
+    weighted by |Im(omega^k)| <= |Im P_k| + e_k + |w^k - omega^k|, and
+    |w^k - omega^k| <= (1 + rho)^k - 1 <= (32/31) k rho.  With e_k < 2ku
+    from (0), (1 + k rho) e_k < (33/32)(1.62 k u) < 2ku, and the rho^2
+    terms sum to at most (1/2 + 32/31 + 1) k^2 rho^2 < 3 k^2 rho^2.  So for
+    k <= p, |Re(omega^k) - x_k| <= |x_k - Re P_k| + e_k
+    + |Re(w^k) - Re(omega^k)| <= E_k with
+
+        E_k := |x_k - Re P_k| + 2ku + k N u^2 / 2 + 2kB |Im P_k| u
+               + 12 k^2 B^2 u^2,
+
+    each term after the first rounded up to units of u.  Near k = p the
+    drift k delta is almost tangential, and its weight |Im P_k| is small.
 
     (3) If every gap x_k - x_(k+1) exceeds E_k + E_(k+1) and Im w > 2Bu,
     the real parts Re(omega^0) > ... > Re(omega^p) strictly decrease and
@@ -258,8 +280,11 @@ def _arc_exclusion_ok(n: int, frac: int, xs: list, pw: list) -> bool:
     beta = -(-4 * (-(-r >> frac) + 3 * n) // (3 * n))
     if (beta * (n - 1)) << _ALPHA_EXP >= one or ai <= 2 * beta:
         return False
-    step = 2 + 4 * beta
-    enc = [abs(x - re) + k * step for k, (x, (re, _)) in enumerate(zip(xs, pw))]
+    radial = abs(ar * ar + ai * ai - (one << frac))
+    enc = [abs(x - re) + 2 * k + -(-k * radial >> frac + 1)
+           + -(-2 * k * beta * abs(im) >> frac)
+           + -(-12 * k * k * beta * beta >> frac)
+           for k, (x, (re, im)) in enumerate(zip(xs, pw))]
     return all(xs[k] - xs[k + 1] > enc[k] + enc[k + 1] for k in range(p))
 
 

@@ -1,37 +1,40 @@
-"""Deterministic simultaneous root finding for z**n = c.
+"""Deterministic root finding for z**n = c.
 
-After an exact power-of-two reduction of c, the float stage finds the roots
-in hardware binary64.  Write n = 2**j m with m odd: Aberth's simultaneous
-method (Aberth 1973; Bini 1996, the MPSolve design) runs Jacobi sweeps on
-z**m = c only, from the rotation seeds u, u^2, ..., u^m, u = g/|g| with
-g = 0.4 + 0.9i: unit-circle points at irrational angles, which break the
-symmetry that stalls exact-circle seeds on z**m - 1.  The roots of
-z**(2d) = c are +-sqrt(y) for the roots y of z**d = c, so j square-root
-lifting steps give all n roots.  The repulsion sums are formed in blocks
-of at most 256 rows, so the stage needs O(256 m) memory.  The settled
-estimates enter the fixed-point kernel (:mod:`unityroot.fixed`) exactly and
-are driven to the final tolerance by simultaneous Newton sweeps plus one
-closing polish step per root, on integer pairs with 64 guard bits; each
-component is rounded once at the end.  The residual bound of every root set
-is a proven upper bound evaluated in the same kernel.  Every stage is a pure
-function of (c, n, precision), so repeated calls are bit-identical.
+For a general c (:func:`solve_binomial`), after an exact power-of-two
+reduction of c, the float stage finds the roots in hardware binary64.
+Write n = 2**j m with m odd: Aberth's simultaneous method (Aberth 1973;
+Bini 1996, the MPSolve design) runs Jacobi sweeps on z**m = c only, from
+the rotation seeds u, u^2, ..., u^m, u = g/|g| with g = 0.4 + 0.9i:
+unit-circle points at irrational angles, which break the symmetry that
+stalls exact-circle seeds on z**m - 1.  The roots of z**(2d) = c are
++-sqrt(y) for the roots y of z**d = c, so j square-root lifting steps give
+all n roots.  The repulsion sums are formed in blocks of at most 256 rows,
+so the stage needs O(256 m) memory.  The settled estimates enter the
+fixed-point kernel (:mod:`unityroot.fixed`) exactly and are driven to the
+final tolerance by simultaneous Newton sweeps plus one closing polish step
+per root, on integer pairs with 64 guard bits; each component is rounded
+once at the end.  The residual bound of every root set is a proven upper
+bound evaluated in the same kernel.  Every stage is a pure function of
+(c, n, precision), so repeated calls are bit-identical.
 
-z**n = 1 is solved by symmetry (:func:`solve_unity`).  Its roots are closed
-under conjugation, and for even n under negation, and both maps are exact
-sign flips of the components.  Newton and the residual bound therefore run
-on one representative per orbit off the axes, picked from the float roots;
-the axis roots 1, -1 and +-i are inserted exactly and every other root is a
-sign flip of a representative.  A flip leaves |z**n - 1| and |z| unchanged,
-so the bound over the representatives bounds every root.  The distinctness
-screen runs on the representatives and the axis roots next to them, and
-the documented order is built from the representatives sorted by real part
-(:func:`_unity_layout`), so no stage after the float stage touches all n
-roots.
+z**n = 1 is solved without a simultaneous solve (:func:`solve_unity`).
+omega = e^(2 pi i/n) is the product of the square roots r_1 = -1,
+r_(i+1) = sqrt(r_i) selected by the binary digits of 1/n, formed in
+binary64 (:func:`_unity_seed`), refined by Newton in the fixed-point kernel
+and raised to its powers there.  Those powers are one representative per
+orbit of the set under conjugation, and for even n under negation; both
+maps are exact sign flips of the components.  The axis roots 1, -1 and +-i
+are inserted exactly and every other root is a sign flip of a
+representative.  A flip leaves |z**n - 1| and |z| unchanged, so the bound
+over the representatives bounds every root.  The distinctness screen runs
+on the representatives and the axis roots next to them, and the documented
+order is built from the representatives (:func:`_unity_layout`), so no
+stage touches all n roots.
 
-The same Newton loop, run from one seed, gives ``roots_of`` its root
-(:func:`newton_root`), and :func:`assemble_rootset` checks, orders and bounds
-every other root set, solved or rotated, relative to the roots' power-of-two
-scale.
+The Newton loop of the general solve, run from one seed, gives
+``roots_of`` its root (:func:`newton_root`), and :func:`assemble_rootset`
+checks, orders and bounds every other root set, solved or rotated,
+relative to the roots' power-of-two scale.
 
 Only field operations and square roots are used in every stage.
 """
@@ -466,34 +469,30 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_representatives(n: int, precision: int) -> list:
-    """One root of z**n = 1 per symmetry orbit off the axes: the roots with
-    Im > 1/n, and for even n also Re > 1/n, driven to full precision and
-    sorted by descending real part.
+def _csqrt(y: complex) -> complex:
+    """The principal square root of one machine complex: the scalar form of
+    :func:`_sqrt`'s cancellation-free root."""
+    x, v = y.real, y.imag
+    t = 2.0 * math.sqrt(abs(0.125 * y) + 0.125 * abs(x))
+    other = v / (2.0 * t)
+    return complex(abs(other), math.copysign(t, v)) if x < 0 else complex(t, other)
 
-    The margin 1/n is safe because every off-axis root lies at least
-    sin(pi/n) >= 2/n from each axis it must clear, and the float roots
-    settle within about 1e-9.  Exactly ceil(n/4) - 1 representatives
-    (even n) or (n - 1)/2 (odd n) must clear it, else the float stage
-    failed and NoConvergence is raised.
-    """
-    even = n % 2 == 0
-    want = (n + 3) // 4 - 1 if even else (n - 1) // 2
-    if not want:
-        return []
-    cap = 50 + 10 * n
-    floats, used = _float_stage(n, 1 + 0j, cap - _HP_SWEEP_RESERVE)
-    edge = 1.0 / n
-    keep = floats.imag > edge
-    if even:
-        keep &= floats.real > edge
-    seeds = [complex(v) for v in floats[keep]]
-    if len(seeds) != want:
-        raise NoConvergence(f"{len(seeds)} float roots in the fundamental "
-                            f"region, expected {want}, for n={n}")
-    reps = _newton(seeds, HPComplex.one(precision), n, 0, precision,
-                   min(_HP_SWEEP_RESERVE, cap - used))
-    return sorted(reps, key=lambda z: -z.re)
+
+def _unity_seed(n: int) -> complex:
+    """e^(2 pi i/n) in binary64: each binary digit of 1/n selects a factor
+    e^(2 pi i 2**-i) = r_i, with r_1 = -1 and r_(i+1) the principal square
+    root of r_i, the complex analogue of :func:`_pow2_frac`.  55 digits
+    leave an angle error below 2**-52; the products and roots add a few
+    units of 2**-53 each."""
+    out, root = 1 + 0j, -1 + 0j
+    g = 1 % n
+    for _ in range(55):
+        g *= 2
+        if g >= n:
+            g -= n
+            out *= root
+        root = _csqrt(root)
+    return out
 
 
 def _unity_layout(reps: list, n: int, precision: int) -> list:
@@ -540,13 +539,20 @@ def _unity_layout(reps: list, n: int, precision: int) -> list:
 def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet:
     """All n solutions of z**n = 1, deterministically ordered.
 
-    The set is closed under conjugation, and for even n under negation;
-    both are exact sign flips of the components.  So Newton runs on one
-    representative per orbit (:func:`_orbit_representatives`), the axis
-    roots 1, -1 (even n) and +-i (4 | n) are inserted exactly, every other
-    root is conj(z), -z or -conj(z) of a representative z, and the set is
-    screened and laid out in order from the representatives
-    (:func:`_unity_layout`).
+    No simultaneous solve runs.  The binary64 seed of omega = e^(2 pi i/n)
+    (:func:`_unity_seed`) is refined on z**n = 1 by
+    :func:`unityroot.fixed.refine_unity`, and the representatives are its
+    powers omega, ..., omega**m from :func:`unityroot.fixed.powers`, each
+    component rounded once: the m = ceil(n/4) - 1 roots of the open first
+    quadrant for even n, the m = (n - 1)/2 of the upper half plane for odd
+    n, by descending real part.  The set is closed under conjugation, and
+    for even n under negation; both are exact sign flips of the components.
+    So the axis roots 1, -1 (even n) and +-i (4 | n) are inserted exactly,
+    every other root is conj(z), -z or -conj(z) of a representative z, and
+    the set is screened and laid out in order from the representatives
+    (:func:`_unity_layout`).  A seed that led to another root omega**j
+    would put some power outside the screened region and raise
+    NoConvergence.
 
     The residual bound is at most 2**(-precision/2), a proven upper bound
     over every root although it is evaluated on the representatives only:
@@ -561,7 +567,14 @@ def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet
     if use_cache and (n, precision) in _unity_cache:
         return _unity_cache[(n, precision)]
     _check_index(n, precision)
-    reps = _orbit_representatives(n, precision)
+    want = (n + 3) // 4 - 1 if n % 2 == 0 else (n - 1) // 2
+    reps = []
+    if want:
+        seed = lift_complex(_unity_seed(n), 53)
+        frac, y = fixed.refine_unity(seed.re, seed.im, n, precision)
+        reps = [HPComplex(fixed.to_hpreal(re, frac, precision),
+                          fixed.to_hpreal(im, frac, precision))
+                for re, im in fixed.powers(y, want, frac)[1:]]
     one = HPComplex.one(precision)
     out = _bounded_rootset(_unity_layout(reps, n, precision), one, n,
                            precision, reps)

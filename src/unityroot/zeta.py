@@ -91,8 +91,10 @@ def construct_zeta(n: int, precision: int = 128, use_cache: bool = True) -> Zeta
     n = 1, 2, 4 are exact constants.  Even n >= 6 selects the minimizer from
     solve_unity(n).  Odd n squares zeta(2n): if w generates all 2n-th roots,
     w^2, w^4, ..., w^(2n) are exactly the n distinct n-th roots, and squaring
-    the doubled minimizer lands on the minimizer for n.  The rounded zeta(2n)
-    is refined within a few units of 2**-frac of the exact root by
+    the doubled minimizer lands on the minimizer for n.  zeta(2n) comes from
+    construct_zeta(2n) and shares its cache, so a certificate at the doubled
+    index selects it once.  The rounded zeta(2n) is refined within a few
+    units of 2**-frac of the exact root by
     :func:`unityroot.fixed.refine_unity`, and its square is rounded once per
     component.
     """
@@ -112,7 +114,7 @@ def construct_zeta(n: int, precision: int = 128, use_cache: bool = True) -> Zeta
     elif n % 2 == 0:
         out = select_zeta(solve_unity(n, precision, use_cache=use_cache))
     else:
-        doubled = select_zeta(solve_unity(2 * n, precision, use_cache=use_cache))
+        doubled = construct_zeta(2 * n, precision, use_cache)
         # Newton on z**(2n) = 1 from the rounded zeta(2n), then the square,
         # both in the fixed-point kernel: one rounding per component
         frac, y = fixed.refine_unity(doubled.a, doubled.b, 2 * n, precision)

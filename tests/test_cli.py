@@ -117,6 +117,14 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert json.loads(out)["passed"] is True
 
+    def test_n4096_at_32_bits_passes(self, capsys):
+        # exited 2 with failed_checks [arc_exclusion]: the enclosures charged
+        # the whole drift k |w - omega| to the real parts
+        code, out = run_cli(capsys, "verify", "--n", "4096", "--precision", "32")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["passed"] is True and doc["certificate"]["checks"]["arc_exclusion"]
+
 
 class TestRootsOfCommand:
     def test_cube_roots_of_minus_eight(self, capsys):

@@ -211,6 +211,13 @@ class TestCertificate:
         cert = build_certificate(zeta, solve_unity(2048, 32))
         assert cert.checks.all_passed
 
+    def test_correct_zeta_at_4096_and_32_bits(self):
+        # the last gap x_2047 - x_2048 ~ 2**-19.70 lay below the enclosures
+        # E_2047 + E_2048 ~ 2**-19.42 that charged the whole drift
+        # k |w - omega| to the real part
+        cert = build_certificate(construct_zeta(4096, 32), solve_unity(4096, 32))
+        assert cert.checks.all_passed and cert.p == 2048
+
     def test_mismatched_rootset_rejected(self, zeta6):
         with pytest.raises(InvalidN):
             build_certificate(zeta6, solve_unity(8))
@@ -287,18 +294,32 @@ class TestArcExclusion:
         assert not self.proves(fake, 6, self.own_sequence(fake, 6))
 
     def test_enclosures_grow_with_beta(self):
-        # w = zeta(64) turned by 2**-13 radians: beta ~ 2**-13, the alpha
-        # bound B (n - 1) u ~ 2**-6.6 passes and w's own real parts still
-        # descend, but the enclosures E_31 + E_32 (~2**-4.6, mostly the
-        # k * 2 beta (1 + 2 beta)^(k-1) terms) exceed the last gap (~2**-7.8)
+        # w = zeta(256) turned by 2**-16 radians: B u ~ 2**-15.6, the alpha
+        # bound B (n - 1) u ~ 2**-7.6 passes and w's own real parts still
+        # descend, but at the last gap (~2**-11.9) the tangential terms
+        # 2kB |Im P_k| u (~2**-12.9) and the remainders 12 k^2 B^2 u^2
+        # (~2**-12.6) of E_127 + E_128 exceed it; either alone does not
+        eps = HPReal.pow2(-16)
+        one = HPReal.one()
+        s = (one + eps * eps).sqrt()
+        w = construct_zeta(256).as_complex() * HPComplex(one / s, eps / s)
+        fake = Zeta(n=256, a=w.re, b=w.im, r=HPReal.zero(), precision=128)
+        xs = self.own_sequence(fake, 256)
+        assert all(lo < hi for hi, lo in zip(xs, xs[1:]))
+        assert not self.proves(fake, 256, xs)
+
+    def test_tangential_drift_is_weighted_by_the_imaginary_part(self):
+        # w = zeta(64) turned by 2**-13 radians passes the alpha-test, and its
+        # exact root omega is e^(2 pi i/64): the drift k (w - omega) is
+        # tangential, and near k = p, where Im P_k is small, it barely moves
+        # the real parts.  The proof accepts it; charging the whole drift,
+        # k (2 + 4B) u, to the real parts would reject it
         eps = HPReal.pow2(-13)
         one = HPReal.one()
         s = (one + eps * eps).sqrt()
         w = construct_zeta(64).as_complex() * HPComplex(one / s, eps / s)
         fake = Zeta(n=64, a=w.re, b=w.im, r=HPReal.zero(), precision=128)
-        xs = self.own_sequence(fake, 64)
-        assert all(lo < hi for hi, lo in zip(xs, xs[1:]))
-        assert not self.proves(fake, 64, xs)
+        assert self.proves(fake, 64, self.own_sequence(fake, 64))
 
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_doubled_index_rejected(self, n):

@@ -1,3 +1,4 @@
+import bisect
 import cmath
 
 import numpy as np
@@ -8,9 +9,9 @@ from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
                        solve_binomial, solve_unity)
 from unityroot import fixed, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
-from unityroot.solver import (_HP_SWEEP_RESERVE, _float_stage, _sort_roots,
-                              _sqrt, _unity_layout, assemble_rootset,
-                              contract_tol, distinct_exp, newton_root)
+from unityroot.solver import (_float_stage, _sort_roots, _sqrt, _unity_layout,
+                              assemble_rootset, contract_tol, distinct_exp,
+                              newton_root)
 from conftest import exact
 
 # the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
@@ -497,9 +498,14 @@ class TestSymmetricUnity:
             with pytest.raises(NoConvergence, match="collapsed"):
                 _unity_layout(wrong, 12, 128)
 
-    def test_newton_and_bound_run_on_one_root_per_orbit(self, monkeypatch):
-        steps, bounds = [], []
-        step, error = fixed.newton_step, fixed.power_error
+    def test_one_refinement_and_one_bound_per_representative(self, monkeypatch):
+        refines, steps, bounds = [], [], []
+        refine, step, error = (fixed.refine_unity, fixed.newton_step,
+                               fixed.power_error)
+
+        def counted_refine(*args):
+            refines.append(args[2])
+            return refine(*args)
 
         def counted_step(*args):
             steps.append(args[2])
@@ -509,29 +515,83 @@ class TestSymmetricUnity:
             bounds.append(args[1])
             return error(*args)
 
+        monkeypatch.setattr(fixed, "refine_unity", counted_refine)
         monkeypatch.setattr(fixed, "newton_step", counted_step)
         monkeypatch.setattr(fixed, "power_error", counted_error)
         over = []
-        for n in (1, 2, 4, 6, 8, 10, 12, 100, 148, 256, 298, 1024, 3, 75):
+        for n, precision in [(n, 128) for n in (1, 2, 3, 4, 6, 8, 10, 12, 75,
+                                                100, 148, 256, 298, 1024)] + [
+                (1024, 32), (4095, 128)]:
+            refines.clear()
             steps.clear()
             bounds.clear()
-            solve_unity(n, use_cache=False)
+            solve_unity(n, precision, use_cache=False)
             reps = representatives(n)
-            # each sweep and the polish step take one step per representative
-            if (len(steps) % max(reps, 1) or len(bounds) != reps
-                    or len(steps) > reps * (_HP_SWEEP_RESERVE + 1)):
-                over.append((n, len(steps), len(bounds)))
+            # Newton runs on omega alone: a few steps from the binary64 seed
+            if (refines != [n] * min(reps, 1) or len(steps) > 3 * len(refines)
+                    or len(bounds) != reps):
+                over.append((n, precision, refines, len(steps), len(bounds)))
         assert not over
 
-    @pytest.mark.parametrize("edit", [
-        lambda z: z[:0], lambda z: np.append(z, z),
-        lambda z: np.full_like(z, np.nan)], ids=["none", "doubled", "nan"])
-    def test_wrong_representative_count_is_no_convergence(self, monkeypatch, edit):
-        def float_stage(n, c, budget):
-            z, used = _float_stage(n, c, budget)
-            return edit(z), used
 
-        monkeypatch.setattr(solver, "_float_stage", float_stage)
-        for n in (5, 12, 30):
-            with pytest.raises(NoConvergence, match="fundamental region"):
+def trig_seed(k):
+    """A seed at e^(2 pi i k/n), k = 1 the right one, from the oracle."""
+    return lambda n: trig_root(n, k % n).value.to_complex()
+
+
+class TestDirectUnity:
+    def test_seed_is_close_to_the_primitive_root(self):
+        far = [n for n in range(1, 4097)
+               if abs(solver._unity_seed(n) - trig_seed(1)(n)) > 2.0 ** -40]
+        assert not far
+
+    def test_seed_is_built_from_square_roots_of_minus_one(self):
+        # 1/2 = 0.1b selects r_1 = -1 alone, 1/4 = 0.01b r_2 = i and
+        # 1/8 = 0.001b r_3 = sqrt(i); 1/1 = 1 selects none
+        assert solver._unity_seed(1) == 1
+        assert solver._unity_seed(2) == -1
+        assert solver._unity_seed(4) == 1j
+        assert abs(solver._unity_seed(8) - (1 + 1j) * 0.5 ** 0.5) <= 2.0 ** -52
+
+    @pytest.mark.parametrize("seed", [trig_seed(3), trig_seed(-1),
+                                      lambda n: 1 + 0j],
+                             ids=["omega^3", "conjugate", "one"])
+    def test_wrong_seed_is_no_convergence(self, monkeypatch, seed):
+        # Newton from a wrong seed lands on another root omega^j, whose
+        # powers leave the screened region; none may come back as a RootSet
+        monkeypatch.setattr(solver, "_unity_seed", seed)
+        for n in (3, 5, 7, 12, 30, 100, 101, 1024):
+            with pytest.raises(NoConvergence):
                 solve_unity(n, use_cache=False)
+
+    @pytest.mark.parametrize("ns,precision", [
+        (list(range(1, 201)) + [255, 256, 298, 1024], 128), ([1024], 32)])
+    def test_matches_solve_binomial_as_sets(self, ns, precision):
+        # solve_binomial keeps the Aberth float stage: an independent solver
+        off = []
+        for n in ns:
+            unity = solve_unity(n, precision)
+            other = solve_binomial(HPComplex.one(precision), n, precision)
+            tol = unity.residual_bound + other.residual_bound
+            if not sets_match(unity.roots, other.roots, tol * tol):
+                off.append(n)
+        assert not off
+
+
+def sets_match(got, want, tol2):
+    """True iff got and want pair up one-to-one within |z - w|**2 <= tol2;
+    candidates are found in binary64 by real part, then measured exactly."""
+    if len(got) != len(want):
+        return False
+    approx = sorted((w.to_complex().real, idx) for idx, w in enumerate(want))
+    keys = [re for re, _ in approx]
+    used = set()
+    for z in got:
+        x = z.to_complex().real
+        lo = bisect.bisect_left(keys, x - 1e-9)
+        hit = next((idx for _, idx in approx[lo:bisect.bisect_right(keys, x + 1e-9)]
+                    if idx not in used and (z - want[idx]).abs2() <= tol2), None)
+        if hit is None:
+            return False
+        used.add(hit)
+    return True

@@ -1,7 +1,7 @@
-"""SHA-256 digests of the CLI's output over a fixed set of commands, and an
-ulp-level comparison of two such runs.
+"""SHA-256 digests of the CLI's output over a fixed set of commands, and a
+comparison of two such runs in units of each command's last bit.
 
-    PYTHONPATH=src python tools/cli_digest.py [--dump OUT.json]
+    python tools/cli_digest.py [--dump OUT.json]
     python tools/cli_digest.py --compare OLD.json NEW.json
 
 The first form prints one line per command group: the group name, the
@@ -16,12 +16,14 @@ it also writes each command's output to a JSON file.
 `--compare` reads two dumps and prints, for each group, the number of
 commands whose output changed and the largest change of the numbers under
 each JSON key, then one such line per changed command.  A change is given in
-ulps of a 128-bit value at the scale of the larger of the two values,
-2**(e - 127) for a value in [2**e, 2**(e + 1)) (2**-128 for values of scale
-1/2 to 1).  Below scale 2**-64 (residual bounds, components that are zero up
-to rounding) it is given as the absolute difference |d| instead.  A change
-outside the numbers (a key, a flag, an exit code, a count of values)
-is reported as a shape change.
+units of 2**-precision of its command, the last bit of a value of scale 1/2
+to 1, such as a root of unity's component; the precision is read from the
+command's `--precision` flag (128 without one).  A change outside the
+numbers (a key, a flag, an exit code, a count of values) is reported as a
+shape change.
+
+The script puts the `src` directory of its own checkout first on the
+import path, so it needs no PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import re
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 ROOTS_OF = [("3", "-8", "0"), ("5", "2", "3"), ("7", "0.5", "-0.25"),
             ("12", "1e10", "0"), ("2", "0", "-1")]
@@ -45,7 +48,6 @@ LOW_PRECISION = [(cmd, n, "32") for n in ("1024", "2048")
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 KEY = re.compile(r'"([^"]+)":')
-SMALL = -64  # binary exponent below which a change is reported as absolute
 
 
 def _output(argv: list) -> str:
@@ -100,24 +102,16 @@ def digest(dump_path: str | None) -> None:
             json.dump(dump, handle, indent=0)
 
 
-def _ulps(a: Fraction, b: Fraction) -> tuple:
-    """(kind, size) of the change from a to b: ("ulp", |a - b| in ulps of a
-    128-bit value at the scale of max(|a|, |b|)) when that scale is at least
-    SMALL, else ("abs", log2 |a - b|): a bound or a component that is zero up
-    to rounding has no meaningful relative scale."""
-    top = max(abs(a), abs(b))
-    e = top.numerator.bit_length() - top.denominator.bit_length()
-    if Fraction(2) ** e > top:
-        e -= 1
-    if e < SMALL:
-        return "abs", math.log2(abs(a - b))
-    return "ulp", float(abs(a - b) / Fraction(2) ** (e - 127))
+def _precision(command: str) -> int:
+    """The value of the command's --precision flag, 128 without one."""
+    words = command.split()
+    if "--precision" in words[:-1]:
+        return int(words[words.index("--precision") + 1])
+    return 128
 
 
 def _format(change: dict) -> str:
-    return ", ".join(f"{key} {size:.3g} ulp" if kind == "ulp"
-                     else f"{key} |d| 2^{size:.1f}"
-                     for (key, kind), size in sorted(change.items()))
+    return ", ".join(f"{key} {size:.3g}" for key, size in sorted(change.items()))
 
 
 def _numbers(text: str) -> list:
@@ -132,16 +126,16 @@ def _numbers(text: str) -> list:
     return out
 
 
-def _change(old: str, new: str):
+def _change(old: str, new: str, precision: int):
     """None if the outputs differ outside their numbers, else the largest
-    change of each key's numbers, by (key, kind) as :func:`_ulps` reports."""
+    change of each key's numbers in units of 2**-precision."""
     if NUMBER.sub("#", old) != NUMBER.sub("#", new):
         return None
     worst: dict = {}
     for (key, a), (_, b) in zip(_numbers(old), _numbers(new)):
         if a != b:
-            kind, size = _ulps(Fraction(a), Fraction(b))
-            worst[key, kind] = max(worst.get((key, kind), -math.inf), size)
+            size = float(abs(Fraction(a) - Fraction(b)) * 2 ** precision)
+            worst[key] = max(worst.get(key, 0.0), size)
     return worst
 
 
@@ -159,16 +153,18 @@ def compare(old_path: str, new_path: str) -> None:
         for b, a in zip(before, after):
             if b["output"] == a["output"]:
                 continue
-            change = _change(b["output"], a["output"])
+            change = _change(b["output"], a["output"],
+                             _precision(a["command"]))
             if change is None:
                 shape += 1
                 lines.append(f"  {a['command']}: shape changed")
                 continue
             for item, size in change.items():
-                worst[item] = max(worst.get(item, -math.inf), size)
+                worst[item] = max(worst.get(item, 0.0), size)
             lines.append(f"  {a['command']}: {_format(change)}")
         print(f"{name}: {len(lines)} of {len(before)} changed, {shape} shape "
-              f"changes; largest: {_format(worst) or 'none'}")
+              f"changes; largest, in units of 2**-precision: "
+              f"{_format(worst) or 'none'}")
         for line in lines:
             print(line)
 
@@ -180,6 +176,7 @@ def main() -> None:
     parser.add_argument("--compare", nargs=2, metavar=("OLD.json", "NEW.json"),
                         help="compare two dumps instead of running the CLI")
     args = parser.parse_args()
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     if args.compare:
         compare(*args.compare)
     else:
