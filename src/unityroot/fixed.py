@@ -3,10 +3,12 @@
 A real x is held as the integer X = x * 2**frac, a complex value as the pair
 (re, im) of such integers.  Products are exact integer products truncated
 once by a floor shift, so every operation here is a field operation or an
-integer square root on integers.  The solver's Newton stage and residual
-bound, the certificate's descent (:func:`rotate_re`) and powers of zeta, and
-the DFT's twiddle table run on these helpers and round back to
-:class:`HPReal` once, at the end.
+integer square root on integers.  :func:`newton` is the package's one
+Newton loop: every root the solver returns, zeta at odd n and the DFT's
+twiddle base are refined by it.  The solver's residual bound, the
+certificate's descent (:func:`rotate_re`) and powers of zeta, and the DFT's
+twiddle table run on these helpers too, and round back to :class:`HPReal`
+once, at the end.
 
 Working at frac = precision + GUARD_BITS fraction bits leaves 64 bits below
 the last bit a result keeps, so a value whose error is a few units of
@@ -182,20 +184,31 @@ def newton_step(y: tuple, c: tuple, n: int, frac: int) -> tuple:
     return ((rr * pr + ri * pi) << frac) // den, ((ri * pr - rr * pi) << frac) // den
 
 
-def refine_unity(a: HPReal, b: HPReal, n: int, precision: int) -> tuple:
-    """(frac, y): a + ib lifted exactly at frac_bits(precision) fraction bits
-    or more, then Newton steps on z**n = 1 until a step d has
-    (n - 1) |d|**2 <= u = 2**-frac.  A step from y lands about
-    (n - 1) |y - omega|**2 / 2 from the root omega and |d| ~ |y - omega|, so
-    y ends a few units u from omega: one step from a root rounded to
-    precision >= 64 + log2(n) bits, more at lower precision."""
-    frac, y = lift((a, b), frac_bits(precision))
+def newton(y: tuple, c: tuple, n: int, frac: int) -> tuple:
+    """Newton steps on z**n = c from the pair y until a step d has
+    (n - 1) |d|**2 <= u = 2**-frac; returns the last pair.
+
+    A step from y lands about (n - 1) |y - z|**2 / (2 |z|) from the root z
+    it approaches, and |d| ~ |y - z|, so at the stop y lies a few units u
+    from z when |z| is near 1: after one step from a root rounded to
+    precision >= 64 + log2(n) bits, after two or three from a binary64
+    seed.  n = 1 stops after its one, exact, step.  Not stopping within
+    frac.bit_length() steps, enough to double one correct bit past frac,
+    raises NoConvergence.
+    """
     for _ in range(frac.bit_length()):
-        d = newton_step(tuple(y), (1 << frac, 0), n, frac)
+        d = newton_step(y, c, n, frac)
         y = y[0] - d[0], y[1] - d[1]
         if (n - 1) * (d[0] * d[0] + d[1] * d[1]) <= 1 << frac:
-            return frac, y
-    raise NoConvergence(f"refining a root of z**{n} = 1 did not converge")
+            return y
+    raise NoConvergence(f"Newton on z**{n} = c did not converge")
+
+
+def refine_unity(a: HPReal, b: HPReal, n: int, precision: int) -> tuple:
+    """(frac, y): a + ib lifted exactly at frac_bits(precision) fraction bits
+    or more, then refined by :func:`newton` on z**n = 1."""
+    frac, y = lift((a, b), frac_bits(precision))
+    return frac, newton(tuple(y), (1 << frac, 0), n, frac)
 
 
 def rotate_re(x: int, a: int, b: int, frac: int) -> int:

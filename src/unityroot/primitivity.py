@@ -43,16 +43,22 @@ class PrimitivityReport:
     tol: HPReal
 
 
-def multiplicative_order(w: HPComplex, n: int, tol: HPReal | None = None) -> PrimitivityReport:
-    """Smallest d >= 1 with |w^d - 1| <= tol; only divisors of n can qualify,
-    so only those are scanned."""
-    prec = w.precision
+def _unity_tol(w: HPComplex, n: int, tol: HPReal | None) -> tuple:
+    """(one, tol, tol**2) at w's precision, tol defaulting to contract_tol,
+    once w^n = 1 within tol; NotARoot otherwise."""
+    one = HPComplex.one(w.precision)
     if tol is None:
-        tol = contract_tol(prec)
-    one = HPComplex.one(prec)
+        tol = contract_tol(w.precision)
     tol2 = tol * tol
     if (w.pow(n) - one).abs2() > tol2:
         raise NotARoot(f"w^{n} is not 1 within tolerance")
+    return one, tol, tol2
+
+
+def multiplicative_order(w: HPComplex, n: int, tol: HPReal | None = None) -> PrimitivityReport:
+    """Smallest d >= 1 with |w^d - 1| <= tol; only divisors of n can qualify,
+    so only those are scanned."""
+    one, tol, tol2 = _unity_tol(w, n, tol)
     for d in _divisors(n):
         if (w.pow(d) - one).abs2() <= tol2:
             return PrimitivityReport(w=w, n=n, order=d,
@@ -71,27 +77,21 @@ def prime_shortcut(w: HPComplex, n: int, tol: HPReal | None = None) -> bool:
     """For prime n, every n-th root of unity other than 1 is primitive."""
     if not is_prime(n):
         raise NotPrime(f"{n} is not prime")
-    prec = w.precision
-    if tol is None:
-        tol = contract_tol(prec)
-    one = HPComplex.one(prec)
-    tol2 = tol * tol
-    if (w.pow(n) - one).abs2() > tol2:
-        raise NotARoot(f"w^{n} is not 1 within tolerance")
+    one, _, tol2 = _unity_tol(w, n, tol)
     return (w - one).abs2() > tol2
 
 
 def roots_of(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     """All n roots of z**n = c as {zeta^k * z : k = 0..n-1} for one root z.
 
-    Cross-validates the solver: the construction here uses one Newton root
-    times the twiddle powers of the primitive root, never the simultaneous
-    iteration; the root set is checked and bounded as the solver's is.
+    Cross-validates the solver: the construction here anchors on the
+    principal root z = c**(1/n) from :func:`unityroot.solver.newton_root`
+    (which also checks n) and rotates it by the twiddle powers of the
+    primitive root, never running Aberth's iteration; the root set is
+    checked and bounded as the solver's is.
     """
     if c.is_zero():
         raise ZeroTarget("z**n = 0 has only the trivial root")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     c = HPComplex(c.re.with_precision(precision), c.im.with_precision(precision))
     z0 = newton_root(c, n, precision)
     roots = [z0 * w for w in twiddle_table(n, precision).inverse]

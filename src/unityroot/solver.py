@@ -1,5 +1,13 @@
 """Deterministic root finding for z**n = c.
 
+Every root the solver refines takes the same two steps: a binary64 seed,
+then :func:`unityroot.fixed.newton` on integer pairs with 64 guard bits,
+each component rounded once.  The seeds of omega and of the principal root
+come from one routine (:func:`_pow_frac`): base**(g/n) from the binary
+digits of g/n, each digit selecting a repeated principal square root
+(:func:`_csqrt`, the one cancellation-free complex square root, which also
+lifts Aberth's roots to even n).
+
 For a general c (:func:`solve_binomial`), after an exact power-of-two
 reduction of c, the float stage finds the roots in hardware binary64.
 Write n = 2**j m with m odd: Aberth's simultaneous method (Aberth 1973;
@@ -9,34 +17,31 @@ unit-circle points at irrational angles, which break the symmetry that
 stalls exact-circle seeds on z**m - 1.  The roots of z**(2d) = c are
 +-sqrt(y) for the roots y of z**d = c, so j square-root lifting steps give
 all n roots.  The repulsion sums are formed in blocks of at most 256 rows,
-so the stage needs O(256 m) memory.  The settled estimates enter the
-fixed-point kernel (:mod:`unityroot.fixed`) exactly and are driven to the
-final tolerance by simultaneous Newton sweeps plus one closing polish step
-per root, on integer pairs with 64 guard bits; each component is rounded
-once at the end.  The residual bound of every root set is a proven upper
-bound evaluated in the same kernel.  Every stage is a pure function of
-(c, n, precision), so repeated calls are bit-identical.
+so the stage needs O(256 m) memory.  The settled estimates seed Newton,
+one root at a time.  The residual bound of every root set is a proven
+upper bound evaluated in the same kernel.  Every stage is a pure function
+of (c, n, precision), so repeated calls are bit-identical.
 
 z**n = 1 is solved without a simultaneous solve (:func:`solve_unity`).
-omega = e^(2 pi i/n) is the product of the square roots r_1 = -1,
-r_(i+1) = sqrt(r_i) selected by the binary digits of 1/n, formed in
-binary64 (:func:`_unity_seed`), refined by Newton in the fixed-point kernel
-and raised to its powers there.  Those powers are one representative per
-orbit of the set under conjugation, and for even n under negation; both
-maps are exact sign flips of the components.  The axis roots 1, -1 and +-i
-are inserted exactly and every other root is a sign flip of a
-representative.  A flip leaves |z**n - 1| and |z| unchanged, so the bound
-over the representatives bounds every root.  The distinctness screen runs
-on the representatives and the axis roots next to them, and the documented
-order is built from the representatives (:func:`_unity_layout`), so no
-stage touches all n roots.
+omega = e^(2 pi i/n) = (-1)**(2/n) is seeded in binary64
+(:func:`_unity_seed`), refined by Newton and raised to its powers in the
+fixed-point kernel.  Those powers are one representative per orbit of the
+set under conjugation, and for even n under negation; both maps are exact
+sign flips of the components.  The axis roots 1, -1 and +-i are inserted
+exactly and every other root is a sign flip of a representative.  A flip
+leaves |z**n - 1| and |z| unchanged, so the bound over the representatives
+bounds every root.  The distinctness screen runs on the representatives
+and the axis roots next to them, and the documented order is built from
+the representatives (:func:`_unity_layout`), so no stage touches all n
+roots.
 
-The Newton loop of the general solve, run from one seed, gives
-``roots_of`` its root (:func:`newton_root`), and :func:`assemble_rootset`
-checks, orders and bounds every other root set, solved or rotated,
-relative to the roots' power-of-two scale.
+``roots_of`` rotates the principal root c**(1/n) (:func:`newton_root`, the
+seed t**(1/n) 2**(g/n) from :func:`_pow_frac`), and
+:func:`assemble_rootset` checks, orders and bounds every other root set,
+solved or rotated, relative to the roots' power-of-two scale.
 
-Only field operations and square roots are used in every stage.
+Every solve accepts 1 <= n <= MAX_N (:func:`_check_index`).  Only field
+operations and square roots are used in every stage.
 """
 
 from __future__ import annotations
@@ -54,8 +59,11 @@ from .hpreal import HPReal
 _SEED = complex(0.4, 0.9)
 _ROTATION = _SEED / abs(_SEED)
 
-# sweeps held back from the float stage for the high-precision stage
-_HP_SWEEP_RESERVE = 12
+# the largest n any solve accepts.  The slowest path at the limit is
+# solve_binomial at odd n, Aberth at O(n**2) per sweep: cold, on a 2-CPU
+# shared x86-64 host, 73 s and 292 MB peak RSS at n = 32767 (20 s, 166 MB at
+# 16383).  Odd-n zeta solves at 2n, so `verify --n 16383` stays legal.
+MAX_N = 32768
 
 # rows of the Aberth repulsion sums formed at once
 _BLOCK = 256
@@ -121,19 +129,31 @@ def _pow(w: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _sqrt(y: np.ndarray) -> np.ndarray:
-    """Principal square roots in binary64 without cancellation: the larger
-    component is t = sqrt((|y| + |Re y|)/2), the other Im y / (2t).  The sum
-    is formed at 1/8 scale and t as 2 sqrt(sum), both exact power-of-two
-    rescalings, so |y| cannot overflow at the top of the reduced target's
-    range."""
+def _csqrt(y: complex) -> complex:
+    """The principal square root of a machine complex, without cancellation:
+    the larger component is t = sqrt((|y| + |Re y|)/2), the other
+    Im y / (2t).  The sum is formed at 1/8 scale and t as 2 sqrt(sum), both
+    exact power-of-two rescalings, so |y| cannot overflow at the top of the
+    reduced target's range."""
     x, v = y.real, y.imag
-    t = 2.0 * np.sqrt(np.abs(0.125 * y) + 0.125 * np.abs(x))
+    t = 2.0 * math.sqrt(abs(0.125 * y) + 0.125 * abs(x))
     other = v / (2.0 * t)
-    neg = x < 0
-    out = np.empty_like(y)
-    out.real = np.where(neg, np.abs(other), t)
-    out.imag = np.where(neg, np.copysign(t, v), other)
+    return complex(abs(other), math.copysign(t, v)) if x < 0 else complex(t, other)
+
+
+def _pow_frac(base: complex, g: int, n: int) -> complex:
+    """The principal base**(g/n) for 0 <= g <= n in binary64: digit i of the
+    binary expansion of g/n (digit 0 the integer part) selects the factor
+    base**(2**-i), which is :func:`_csqrt` applied i times.  55 digits leave
+    an exponent error below 2**-55; the products and roots add a few units
+    of 2**-53 each."""
+    out, root = 1 + 0j, base
+    for _ in range(55):
+        if g >= n:
+            g -= n
+            out *= root
+        g *= 2
+        root = _csqrt(root)
     return out
 
 
@@ -147,7 +167,7 @@ def _float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
     j = (n & -n).bit_length() - 1
     z, used = _aberth(n >> j, c, sweep_budget)
     for _ in range(j):
-        r = _sqrt(z)
+        r = np.array([_csqrt(y) for y in z.tolist()])
         z = np.concatenate((r, -r))
     return z, used
 
@@ -247,76 +267,39 @@ def _pair(z: HPComplex, frac: int) -> tuple:
     return fixed.to_fixed(z.re, frac), fixed.to_fixed(z.im, frac)
 
 
-def _newton(seeds: list, c: HPComplex, n: int, k: int, precision: int,
-            sweep_budget: int) -> list:
-    """Simultaneous Newton sweeps from the machine-complex seeds, roots of
-    z**n = c scaled by 2**-k, until no root moves by more than
-    2**(-3*precision/4), then one closing polish step per root.
+def _newton(seeds: list, c: HPComplex, n: int, k: int, precision: int) -> list:
+    """The roots of z**n = c that :func:`unityroot.fixed.newton` reaches
+    from machine-complex seeds of the roots scaled by 2**-k.
 
-    The sweeps run in the fixed-point kernel on integer pairs at
-    frac = precision + 64 fraction bits (the seeds enter exactly, c / 2**(k n)
-    truncated below 2**-frac), and each component is rounded once at the end.
+    Newton runs on integer pairs at frac = precision + 64 fraction bits (the
+    seeds enter exactly, c / 2**(k n) truncated below 2**-frac), once per
+    seed, and each component is rounded once at the end.
     """
     frac = fixed.frac_bits(precision)
     cs = _pair(c, frac - k * n)
-    ys = [_pair(lift_complex(s, 53), frac) for s in seeds]
-    tol2 = 1 << 2 * (frac + (-(3 * precision)) // 4)
-    for _ in range(sweep_budget):
-        steps = [fixed.newton_step(y, cs, n, frac) for y in ys]
-        ys = [(y[0] - d[0], y[1] - d[1]) for y, d in zip(ys, steps)]
-        if max(d[0] * d[0] + d[1] * d[1] for d in steps) <= tol2:
-            break
-    else:
-        raise NoConvergence(f"newton sweeps exhausted for n={n}")
-    # contractual final polish step, decoupled from sweep geometry
     out = []
-    for y in ys:
-        d = fixed.newton_step(y, cs, n, frac)
-        out.append(HPComplex(fixed.to_hpreal(y[0] - d[0], frac - k, precision),
-                             fixed.to_hpreal(y[1] - d[1], frac - k, precision)))
-    return out
-
-
-def _pow2_frac(g: int, n: int) -> float:
-    """2**(g/n) for 0 <= g < n in binary64: each binary digit of g/n selects
-    a factor 2**(2**-i), which is i square roots of 2."""
-    out, root = 1.0, 2.0
-    for _ in range(53):
-        root = math.sqrt(root)
-        g *= 2
-        if g >= n:
-            g -= n
-            out *= root
+    for s in seeds:
+        yr, yi = fixed.newton(_pair(lift_complex(s, 53), frac), cs, n, frac)
+        out.append(HPComplex(fixed.to_hpreal(yr, frac - k, precision),
+                             fixed.to_hpreal(yi, frac - k, precision)))
     return out
 
 
 def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
-    """One n-th root of c != 0 by the solver's Newton loop.
+    """The principal n-th root of c != 0 by the solver's Newton loop.
 
-    The seed comes from binary64 Newton steps on w**n = t, t = c / 2**s with
-    s = top // 2, so 2**-1/2 <= |t| < 2**1/2: they start on the unit circle
-    at the direction u**j of the rotation seeds for the first j >= 1 with
-    Re(u**(j*n) * conj(t)) >= |t|/2, whose n-th power lies within 60 degrees
-    of t, and stop once a step moves w by at most 2**-40.  The root of the
-    reduced target c / 2**(k n) is then 2**(g/n) w, g = s - k n.  Binary
-    powering and square roots only; the fixed-point sweeps start within
-    about 2**-45 of the root.
+    With t = c / 2**s, s = top // 2, so 2**-1/2 <= |t| < 2**1/2, the
+    principal root is t**(1/n) 2**(s/n) = 2**k t**(1/n) 2**(g/n),
+    g = s - k n in [0, n).  Both powers come from :func:`_pow_frac`, square
+    roots and products in binary64, and their product seeds Newton on the
+    reduced target c / 2**(k n) within about 2**-45 of its root.
     """
+    _check_index(n, precision)
     top, k = _root_scale(c, n)
     s = top // 2
     t = _scale2(c, -s).to_complex()
-    step = complex(_pow(_ROTATION, n))
-    w, wn = _ROTATION, step
-    while (wn * t.conjugate()).real < 0.5 * abs(t):
-        w, wn = w * _ROTATION, wn * step
-    for _ in range(64):
-        p = complex(_pow(w, n - 1))
-        d = (p * w - t) / (n * p)
-        w -= d
-        if abs(d) <= 2.0 ** -40:
-            break
-    seed = w * _pow2_frac(s - k * n, n)
-    return _newton([seed], c, n, k, precision, 50 + 10 * n)[0]
+    seed = _pow_frac(t, 1, n) * _pow_frac(2 + 0j, s - k * n, n)
+    return _newton([seed], c, n, k, precision)[0]
 
 
 def _residual_bound(zs: list, c: HPComplex, n: int, k: int,
@@ -444,23 +427,21 @@ def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
 
 
 def _check_index(n: int, precision: int) -> None:
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise InvalidN(f"n must be in 1..{MAX_N}, got {n}")
     HPReal._check_precision(precision)
 
 
 def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
     _check_index(n, precision)
-    cap = 50 + 10 * n
     # reduce by an exact power of two so the float stage sees a tame target:
     # z = 2**k * y  with  y**n = c / 2**(k*n)
     _, k = _root_scale(c, n)
     cf = _scale2(c, -k * n).to_complex()
     if not (math.isfinite(cf.real) and math.isfinite(cf.imag)):
         raise NoConvergence("target magnitude outside the supported range")
-    floats, used = _float_stage(n, cf, cap - _HP_SWEEP_RESERVE)
-    zs = _newton([complex(v) for v in floats], c, n, k, precision,
-                 min(_HP_SWEEP_RESERVE, cap - used))
+    floats, _ = _float_stage(n, cf, 50 + 10 * n)
+    zs = _newton(floats.tolist(), c, n, k, precision)
     return assemble_rootset(zs, c, n, precision)
 
 
@@ -469,30 +450,11 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
 # ---------------------------------------------------------------------------
 
 
-def _csqrt(y: complex) -> complex:
-    """The principal square root of one machine complex: the scalar form of
-    :func:`_sqrt`'s cancellation-free root."""
-    x, v = y.real, y.imag
-    t = 2.0 * math.sqrt(abs(0.125 * y) + 0.125 * abs(x))
-    other = v / (2.0 * t)
-    return complex(abs(other), math.copysign(t, v)) if x < 0 else complex(t, other)
-
-
 def _unity_seed(n: int) -> complex:
-    """e^(2 pi i/n) in binary64: each binary digit of 1/n selects a factor
-    e^(2 pi i 2**-i) = r_i, with r_1 = -1 and r_(i+1) the principal square
-    root of r_i, the complex analogue of :func:`_pow2_frac`.  55 digits
-    leave an angle error below 2**-52; the products and roots add a few
-    units of 2**-53 each."""
-    out, root = 1 + 0j, -1 + 0j
-    g = 1 % n
-    for _ in range(55):
-        g *= 2
-        if g >= n:
-            g -= n
-            out *= root
-        root = _csqrt(root)
-    return out
+    """e^(2 pi i/n) = (-1)**(2/n) in binary64 by :func:`_pow_frac`: digit i
+    of 2/n selects r_(i+1) = e^(2 pi i 2**-(i+1)), with r_1 = -1 and
+    r_(i+1) the principal square root of r_i; 1 = (-1)**0 for n = 1."""
+    return _pow_frac(-1 + 0j, 2 if n > 1 else 0, n)
 
 
 def _unity_layout(reps: list, n: int, precision: int) -> list:

@@ -8,6 +8,7 @@ from unityroot import (HPComplex, HPReal, NoConvergence, cli, dft_forward,
                        solve_unity)
 from unityroot.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                            main, parse_args)
+from unityroot.solver import MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +189,11 @@ class TestDftCommand:
 class TestErrorsAndFormats:
     def test_invalid_n_exit_code(self, capsys):
         code, out = run_cli(capsys, "zeta", "--n", "0")
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"] == "InvalidN"
+
+    def test_n_above_the_limit_exit_code(self, capsys):
+        code, out = run_cli(capsys, "roots", "--n", str(MAX_N + 1))
         assert code == EXIT_DOMAIN
         assert json.loads(out)["error"] == "InvalidN"
 

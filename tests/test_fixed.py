@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unityroot import HPReal, fixed
+from unityroot import HPReal, NoConvergence, fixed
 from conftest import exact
 
 FRAC = 128 + fixed.GUARD_BITS
@@ -90,3 +90,37 @@ def test_upward_rounding_is_an_upper_bound_within_one_ulp():
 def test_newton_step_degree_one_is_exact():
     y, c = (ONE * 3, -ONE // 7), (ONE // 5, ONE)
     assert fixed.newton_step(y, c, 1, FRAC) == (y[0] - c[0], y[1] - c[1])
+
+
+# z**5 = c for c = r**5, r = 3/4 - 5/8 i, both exact at FRAC
+ROOT = (ONE * 3 // 4, -(ONE * 5) // 8)
+TARGET = tuple(v >> (4 * FRAC) for v in exact_power(ROOT, 5))
+
+
+def counted_steps(monkeypatch):
+    steps = []
+    step = fixed.newton_step
+
+    def counted(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(fixed, "newton_step", counted)
+    return steps
+
+
+def test_newton_stops_at_the_first_small_step(monkeypatch):
+    steps = counted_steps(monkeypatch)
+    y = fixed.newton((ROOT[0] + (ONE >> 40), ROOT[1] - (ONE >> 41)), TARGET, 5, FRAC)
+    # (n - 1) |d|**2 <= 2**-FRAC holds at the last step and at no earlier one
+    small = [4 * (d[0] ** 2 + d[1] ** 2) <= ONE for d in steps]
+    assert small[-1] and not any(small[:-1]) and len(steps) == 3
+    assert abs(y[0] - ROOT[0]) <= 4 and abs(y[1] - ROOT[1]) <= 4
+
+
+def test_newton_gives_up_after_frac_bit_length_steps(monkeypatch):
+    # from 2**60 the steps shrink y by about 4/5 each, far too slowly
+    steps = counted_steps(monkeypatch)
+    with pytest.raises(NoConvergence):
+        fixed.newton((ONE << 60, 0), TARGET, 5, FRAC)
+    assert len(steps) == FRAC.bit_length()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from unityroot import (HPComplex, HPReal, NoConvergence, NotARoot, NotPrime,
+from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, NotARoot, NotPrime,
                        ZeroTarget, construct_zeta, gcd_primitivity, is_prime,
                        multiplicative_order, prime_shortcut, roots_of,
                        solve_binomial, solve_unity)
@@ -120,7 +120,7 @@ class TestRootsOf:
             assert min((z - e).abs2() for z in got.roots) <= tol2
 
     def test_negative_real_even_degree(self):
-        # the seed rotation must keep Newton off the rootless real axis
+        # the principal root of a negative real lies off the rootless real axis
         for n in (2, 4, 6, 12):
             got = roots_of(HPComplex.from_int(-8), n)
             assert len(got.roots) == n
@@ -151,6 +151,12 @@ class TestRootsOf:
     def test_zero_target(self):
         with pytest.raises(ZeroTarget):
             roots_of(HPComplex.zero(), 3)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_invalid_n_as_solve_binomial(self, n):
+        for solve in (roots_of, solve_binomial):
+            with pytest.raises(InvalidN):
+                solve(HPComplex.from_int(2), n)
 
     def test_deterministic(self):
         c = HPComplex.from_int(3, 4)

@@ -1,6 +1,7 @@
 import bisect
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,9 +10,9 @@ from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
                        solve_binomial, solve_unity)
 from unityroot import fixed, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
-from unityroot.solver import (_float_stage, _sort_roots, _sqrt, _unity_layout,
-                              assemble_rootset, contract_tol, distinct_exp,
-                              newton_root)
+from unityroot.solver import (_csqrt, _float_stage, _sort_roots, _unity_layout,
+                              MAX_N, assemble_rootset, contract_tol,
+                              distinct_exp, newton_root)
 from conftest import exact
 
 # the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
@@ -127,6 +128,16 @@ class TestLargeN:
     def test_odd_zeta_at_doubled_index_622(self):
         assert zeta_matches_trig(311)
 
+    def test_n_above_the_limit_is_invalid_n(self):
+        # rejected before any work: no solve at the limit runs here
+        c = HPComplex.from_int(2)
+        for solve in (lambda: solve_unity(MAX_N + 1, use_cache=False),
+                      lambda: solve_binomial(c, MAX_N + 1),
+                      lambda: roots_of(c, MAX_N + 1),
+                      lambda: newton_root(c, MAX_N + 1, 128)):
+            with pytest.raises(InvalidN, match=str(MAX_N)):
+                solve()
+
     def test_float_stage_settles_within_40_sweeps(self):
         # guards the seeds: the spiral g^k (|g| < 1) took up to 266 sweeps
         # here, and over 40 at half of these indices
@@ -151,29 +162,28 @@ class TestSquareRootLifting:
             for c in self.TARGETS:
                 z, used = _float_stage(n, c, 50 + 10 * n)
                 y, half_used = _float_stage(n // 2, c, 50 + 10 * n)
-                w = _sqrt(y)
+                w = np.array([_csqrt(v) for v in y.tolist()])
                 if not (same_floats(z, np.concatenate((w, -w)))
                         and used == half_used):
                     wrong.append((n, c))
         assert not wrong
 
     def test_sqrt_is_the_principal_root(self):
-        ys = np.array([1, -1, 1j, -1j, 4, -4, complex(-7, 3), complex(-7, -3),
-                       complex(3, -1e-12), complex(-1e-9, 2), complex(2, -0.0),
-                       complex(-2, 0.0), complex(-2, -0.0), complex(0.3, 0.9)])
-        w = _sqrt(ys)
-        for got, y in zip(w, ys):
-            want = cmath.sqrt(y)
+        ys = [1 + 0j, -1 + 0j, 1j, -1j, 4 + 0j, -4 + 0j, complex(-7, 3),
+              complex(-7, -3), complex(3, -1e-12), complex(-1e-9, 2),
+              complex(2, -0.0), complex(-2, 0.0), complex(-2, -0.0),
+              complex(0.3, 0.9)]
+        for y in ys:
+            got, want = _csqrt(y), cmath.sqrt(y)
             assert got.real >= 0
             assert abs(got - want) <= 2.0 ** -51 * abs(want), (y, got, want)
 
     def test_sqrt_does_not_overflow_at_the_top_of_the_range(self):
         # (|y| + |Re y|)/2 formed directly overflows to inf here
-        ys = np.array([complex(1.7e308, 0), complex(1.2e308, 1.2e308),
-                       complex(-1.7e308, 1e300), complex(-1e308, -1.5e308)])
-        w = _sqrt(ys)
-        for got, y in zip(w, ys):
-            want = cmath.sqrt(y)
+        ys = [complex(1.7e308, 0), complex(1.2e308, 1.2e308),
+              complex(-1.7e308, 1e300), complex(-1e308, -1.5e308)]
+        for y in ys:
+            got, want = _csqrt(y), cmath.sqrt(y)
             assert abs(got - want) <= 2.0 ** -51 * abs(want), (y, got, want)
 
     @pytest.mark.parametrize("n", [512, 1024])
@@ -415,6 +425,26 @@ class TestFixedPointStage:
                 newton_root(c, n, 128)
                 worst = max(worst, len(calls))
         assert worst <= 4
+
+    @pytest.mark.parametrize("re,im,e", [
+        (-8, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (-7, 3, 1000),
+        (3, -4, -1000), (-5, 0, 1000), (0, -3, -1000)])
+    def test_newton_root_is_the_principal_root(self, re, im, e):
+        # against mpmath's principal root at 400 bits, relative to |c|**(1/n)
+        def mp(x):
+            return mpmath.mpf((x.sign * x.mantissa, x.exponent))
+
+        worst = 0
+        with mpmath.workprec(400):
+            for precision in (32, 128, 200):
+                c = HPComplex(HPReal.from_int(re, precision).scale2(e),
+                              HPReal.from_int(im, precision).scale2(e))
+                for n in (1, 2, 3, 5, 12, 64, 255):
+                    z = newton_root(c, n, precision)
+                    want = mpmath.root(mpmath.mpc(mp(c.re), mp(c.im)), n)
+                    err = abs(mpmath.mpc(mp(z.re), mp(z.im)) - want) / abs(want)
+                    worst = max(worst, err * 2 ** precision)
+        assert worst <= 4, float(worst)
 
     def test_fresh_solves_are_bit_identical(self):
         for n, precision in ((100, 128), (33, 33), (64, 256)):
