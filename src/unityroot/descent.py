@@ -39,7 +39,7 @@ from . import fixed
 from .errors import (CertificateFailure, DomainViolation, InvalidN,
                      NonDescent, StepLimit)
 from .hpreal import HPReal
-from .solver import RootSet, contract_tol
+from .solver import RootSet, contract_tol, unity_powers
 from .zeta import Zeta
 
 # the alpha-test accepts alpha < 2**-_ALPHA_EXP, far below the alpha_0 of
@@ -93,7 +93,7 @@ def advance_re_derivative(x: HPReal, zeta: Zeta) -> HPReal:
     return zeta.a + zeta.b * x / ((one - x) * (one + x)).sqrt()
 
 
-def descent_sequence(zeta: Zeta, max_steps: int | None = None):
+def descent_sequence(zeta: Zeta):
     """Iterate advance_re from x_0 = 1 until the iterate leaves [-a, 1].
 
     The iterates stay unrounded integers in units of 2**-frac,
@@ -107,14 +107,11 @@ def descent_sequence(zeta: Zeta, max_steps: int | None = None):
     still in the domain and takes one more step, which is what carries the
     sequence onto -1; -1 exits even where the last step is narrower than the
     clamping tolerance (n above about pi sqrt(2) 2**(precision/4), 1137 at
-    32 bits).
+    32 bits).  A sequence still in the domain after n steps raises
+    StepLimit.
     """
     if zeta.n < 6 or zeta.n % 2:
         raise InvalidN(f"descent requires an even n >= 6, got {zeta.n}")
-    if max_steps is None:
-        max_steps = zeta.n
-    if max_steps < zeta.n:
-        raise InvalidN("max_steps must be at least n")
     prec = zeta.precision
     frac, (a, b) = fixed.lift((zeta.a, zeta.b), fixed.frac_bits(prec))
     one = 1 << frac
@@ -122,8 +119,8 @@ def descent_sequence(zeta: Zeta, max_steps: int | None = None):
                           (one - a) >> 1)
     xs = [one]
     while xs[-1] >= exit_bound:
-        if len(xs) > max_steps:
-            raise StepLimit(f"no exit from [-a, 1] within {max_steps} steps")
+        if len(xs) > zeta.n:
+            raise StepLimit(f"no exit from [-a, 1] within {zeta.n} steps")
         nxt = fixed.rotate_re(max(xs[-1], -a), a, b, frac)
         if nxt >= xs[-1]:
             raise NonDescent(f"x_{len(xs)} = "
@@ -176,20 +173,18 @@ def _scaled_powers(zeta: Zeta, xs, m: int) -> tuple:
 
 def _reconstruction_ok(p: int, frac: int, xs: list, pw: list,
                        rootset: RootSet, tol: HPReal) -> bool:
-    """Each x_k must equal Re(zeta^k) within tol, and zeta^1..zeta^(p-1),
-    then 1 and -1, then conj(zeta^1)..conj(zeta^(p-1)) must match the solved
-    roots one-to-one within tol, in that order: the order the solver
-    documents (upper half plane, real band, lower half plane, each by
-    descending real part).  One pass over both lists; root components enter
-    truncated to units of 2**-frac."""
-    if 2 * p != rootset.n:
+    """Each x_k must equal Re(zeta^k) within tol, and zeta^0..zeta^p, then
+    conj(zeta^(p-1))..conj(zeta^1), must match the solved roots read as
+    powers (:func:`unityroot.solver.unity_powers`) one-to-one within tol.
+    A root set of other than n = 2p roots fails.  One pass over both lists;
+    root components enter truncated to units of 2**-frac."""
+    if 2 * p != rootset.n or len(rootset.roots) != rootset.n:
         return False
     t = fixed.to_fixed(tol, frac)
     if any(abs(x - re) > t for x, (re, _) in zip(xs, pw)):
         return False
-    upper = pw[1:p]
-    candidates = upper + [pw[0], pw[p]] + [(re, -im) for re, im in upper]
-    for (cr, ci), z in zip(candidates, rootset.roots):
+    candidates = pw + [(re, -im) for re, im in reversed(pw[1:p])]
+    for (cr, ci), z in zip(candidates, unity_powers(rootset)):
         dr = cr - fixed.to_fixed(z.re, frac)
         di = ci - fixed.to_fixed(z.im, frac)
         if dr * dr + di * di > t * t:
@@ -308,7 +303,7 @@ def build_certificate(zeta: Zeta, rootset: RootSet) -> ZetaCertificate:
         raise InvalidN("certificate root set must be solve_unity(n) for the same n")
     prec = zeta.precision
     tol = contract_tol(prec)
-    xs, p = descent_sequence(zeta, max_steps=zeta.n)
+    xs, p = descent_sequence(zeta)
     one = HPReal.one(prec)
     strict = all(xs[i + 1] < xs[i] for i in range(len(xs) - 1))
     endpoint = abs(xs[-1] + one) <= tol

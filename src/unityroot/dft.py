@@ -1,23 +1,24 @@
 """Twiddle tables and a reference discrete Fourier transform.
 
 The forward kernel is conj(zeta)^k (the conventional negative-frequency
-sign); the inverse kernel is zeta^k.  A table is built in the fixed-point
-kernel (:mod:`unityroot.fixed`): the rounded zeta is refined by one Newton
-step on z^n = 1, its powers are formed by iterated multiplication with 64
-guard bits, and each component is rounded once, so the drift of repeated
-multiplication (Van Loan 1992, section 1.4) stays below the last bit kept.
-The transform itself is the O(n^2) definition; it exists to exercise the
-constructed root, not to be fast.
+sign); the inverse kernel is zeta^k.  A table is the solver's root set of
+z^n = 1 read as powers (:func:`unityroot.solver.unity_powers`): each entry
+is a power of the refined root formed in the fixed-point kernel and
+rounded once, so the drift of repeated multiplication (Van Loan 1992,
+section 1.4) stays below the last bit kept, and 1, -1 and +-i are exact.
+The set is closed under conjugation bit for bit, so the forward kernel
+conj(zeta)^k is entry -k mod n of the same table.  The transform itself is
+the O(n^2) definition; it exists to exercise the constructed root, not to
+be fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fixed
 from .errors import InvalidN
 from .hpcomplex import HPComplex
-from .zeta import construct_zeta
+from .solver import solve_unity, unity_powers
 
 _table_cache: dict = {}
 
@@ -25,62 +26,42 @@ _table_cache: dict = {}
 @dataclass(eq=False)
 class TwiddleTable:
     n: int
-    forward: tuple
     inverse: tuple
     precision: int
 
 
 def twiddle_table(n: int, precision: int = 128) -> TwiddleTable:
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
+    """zeta^0..zeta^(n-1) from solve_unity(n, precision)."""
     key = (n, precision)
-    if key in _table_cache:
-        return _table_cache[key]
-    zeta = construct_zeta(n, precision)
-    frac, w = fixed.refine_unity(zeta.a, zeta.b, n, precision)
-    inverse = tuple(HPComplex(fixed.to_hpreal(re, frac, precision),
-                              fixed.to_hpreal(im, frac, precision))
-                    for re, im in fixed.powers(w, n - 1, frac))
-    forward = tuple(z.conj() for z in inverse)
-    out = TwiddleTable(n=n, forward=forward, inverse=inverse,
-                       precision=precision)
-    _table_cache[key] = out
-    return out
+    if key not in _table_cache:
+        _table_cache[key] = TwiddleTable(
+            n=n, inverse=unity_powers(solve_unity(n, precision)),
+            precision=precision)
+    return _table_cache[key]
 
 
-def _common_precision(values, precision):
-    if precision is not None:
-        return precision
-    return max(v.precision for v in values)
-
-
-def dft_forward(values: list, precision: int | None = None) -> list:
-    """X[j] = sum_k x[k] * conj(zeta)^(j*k)."""
+def _transform(values: list, precision: int | None, sign: int) -> list:
+    """out[j] = sum_k values[k] * zeta^(sign*j*k)."""
     if not values:
         raise InvalidN("transform input must be non-empty")
     n = len(values)
-    prec = _common_precision(values, precision)
-    table = twiddle_table(n, prec)
+    if precision is None:
+        precision = max(v.precision for v in values)
+    w = twiddle_table(n, precision).inverse
     out = []
     for j in range(n):
-        acc = HPComplex.zero(prec)
+        acc = HPComplex.zero(precision)
         for k in range(n):
-            acc = acc + values[k] * table.forward[(j * k) % n]
+            acc = acc + values[k] * w[(sign * j * k) % n]
         out.append(acc)
     return out
 
 
+def dft_forward(values: list, precision: int | None = None) -> list:
+    """X[j] = sum_k x[k] * conj(zeta)^(j*k)."""
+    return _transform(values, precision, -1)
+
+
 def dft_inverse(values: list, precision: int | None = None) -> list:
     """x[k] = (1/n) sum_j X[j] * zeta^(j*k)."""
-    if not values:
-        raise InvalidN("transform input must be non-empty")
-    n = len(values)
-    prec = _common_precision(values, precision)
-    table = twiddle_table(n, prec)
-    out = []
-    for k in range(n):
-        acc = HPComplex.zero(prec)
-        for j in range(n):
-            acc = acc + values[j] * table.inverse[(j * k) % n]
-        out.append(acc / n)
-    return out
+    return [v / len(values) for v in _transform(values, precision, 1)]

@@ -4,11 +4,11 @@ A real x is held as the integer X = x * 2**frac, a complex value as the pair
 (re, im) of such integers.  Products are exact integer products truncated
 once by a floor shift, so every operation here is a field operation or an
 integer square root on integers.  :func:`newton` is the package's one
-Newton loop: every root the solver returns, zeta at odd n and the DFT's
-twiddle base are refined by it.  The solver's residual bound, the
-certificate's descent (:func:`rotate_re`) and powers of zeta, and the DFT's
-twiddle table run on these helpers too, and round back to :class:`HPReal`
-once, at the end.
+Newton loop: every root the solver returns is refined by it, omega of the
+unity solve included, whose :func:`powers` are every n-th root of unity the
+package uses.  The solver's residual bound and the certificate's descent
+(:func:`rotate_re`) and powers of zeta run on these helpers too, and round
+back to :class:`HPReal` once, at the end.
 
 Working at frac = precision + GUARD_BITS fraction bits leaves 64 bits below
 the last bit a result keeps, so a value whose error is a few units of
@@ -202,13 +202,6 @@ def newton(y: tuple, c: tuple, n: int, frac: int) -> tuple:
         if (n - 1) * (d[0] * d[0] + d[1] * d[1]) <= 1 << frac:
             return y
     raise NoConvergence(f"Newton on z**{n} = c did not converge")
-
-
-def refine_unity(a: HPReal, b: HPReal, n: int, precision: int) -> tuple:
-    """(frac, y): a + ib lifted exactly at frac_bits(precision) fraction bits
-    or more, then refined by :func:`newton` on z**n = 1."""
-    frac, y = lift((a, b), frac_bits(precision))
-    return frac, newton(tuple(y), (1 << frac, 0), n, frac)
 
 
 def rotate_re(x: int, a: int, b: int, frac: int) -> int:

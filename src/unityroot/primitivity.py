@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dft import twiddle_table
 from .errors import NotARoot, NotPrime, ZeroTarget
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
-from .solver import RootSet, assemble_rootset, contract_tol, newton_root
+from .solver import (RootSet, assemble_rootset, contract_tol, newton_root,
+                     solve_unity)
 
 
 def _divisors(n: int) -> list:
@@ -82,17 +82,17 @@ def prime_shortcut(w: HPComplex, n: int, tol: HPReal | None = None) -> bool:
 
 
 def roots_of(c: HPComplex, n: int, precision: int = 128) -> RootSet:
-    """All n roots of z**n = c as {zeta^k * z : k = 0..n-1} for one root z.
+    """All n roots of z**n = c as {w * z : w**n = 1} for one root z.
 
     Cross-validates the solver: the construction here anchors on the
     principal root z = c**(1/n) from :func:`unityroot.solver.newton_root`
-    (which also checks n) and rotates it by the twiddle powers of the
-    primitive root, never running Aberth's iteration; the root set is
+    (which also checks n) and rotates it by the n roots of unity of
+    solve_unity(n), never running Aberth's iteration; the root set is
     checked and bounded as the solver's is.
     """
     if c.is_zero():
         raise ZeroTarget("z**n = 0 has only the trivial root")
     c = HPComplex(c.re.with_precision(precision), c.im.with_precision(precision))
     z0 = newton_root(c, n, precision)
-    roots = [z0 * w for w in twiddle_table(n, precision).inverse]
+    roots = [z0 * w for w in solve_unity(n, precision).roots]
     return assemble_rootset(roots, c, n, precision)

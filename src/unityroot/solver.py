@@ -33,10 +33,12 @@ leaves |z**n - 1| and |z| unchanged, so the bound over the representatives
 bounds every root.  The distinctness screen runs on the representatives
 and the axis roots next to them, and the documented order is built from
 the representatives (:func:`_unity_layout`), so no stage touches all n
-roots.
+roots.  This is the package's one table of the n-th roots of unity:
+:func:`unity_powers` reads omega**0..omega**(n - 1) off the documented
+order, and the DFT's twiddle table, ``roots_of`` and odd-n zeta use it.
 
 ``roots_of`` rotates the principal root c**(1/n) (:func:`newton_root`, the
-seed t**(1/n) 2**(g/n) from :func:`_pow_frac`), and
+seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots, and
 :func:`assemble_rootset` checks, orders and bounds every other root set,
 solved or rotated, relative to the roots' power-of-two scale.
 
@@ -498,16 +500,17 @@ def _unity_layout(reps: list, n: int, precision: int) -> list:
             + [-z for z in reversed(reps)])
 
 
-def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet:
+def solve_unity(n: int, precision: int = 128) -> RootSet:
     """All n solutions of z**n = 1, deterministically ordered.
 
     No simultaneous solve runs.  The binary64 seed of omega = e^(2 pi i/n)
-    (:func:`_unity_seed`) is refined on z**n = 1 by
-    :func:`unityroot.fixed.refine_unity`, and the representatives are its
-    powers omega, ..., omega**m from :func:`unityroot.fixed.powers`, each
-    component rounded once: the m = ceil(n/4) - 1 roots of the open first
-    quadrant for even n, the m = (n - 1)/2 of the upper half plane for odd
-    n, by descending real part.  The set is closed under conjugation, and
+    (:func:`_unity_seed`) enters the fixed-point kernel exactly and is
+    refined on z**n = 1 by :func:`unityroot.fixed.newton`, and the
+    representatives are its powers omega, ..., omega**m from
+    :func:`unityroot.fixed.powers`, each component rounded once: the
+    m = ceil(n/4) - 1 roots of the open first quadrant for even n, the
+    m = (n - 1)/2 of the upper half plane for odd n, by descending real
+    part.  The set is closed under conjugation, and
     for even n under negation; both are exact sign flips of the components.
     So the axis roots 1, -1 (even n) and +-i (4 | n) are inserted exactly,
     every other root is conj(z), -z or -conj(z) of a representative z, and
@@ -526,14 +529,15 @@ def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet
     exactly: |z|**2 of a dyadic z is an exact integer multiple of
     2**(-2 frac), and | |z|**2 - 1 | <= bound implies | |z| - 1 | <= bound.
     """
-    if use_cache and (n, precision) in _unity_cache:
+    if (n, precision) in _unity_cache:
         return _unity_cache[(n, precision)]
     _check_index(n, precision)
     want = (n + 3) // 4 - 1 if n % 2 == 0 else (n - 1) // 2
     reps = []
     if want:
         seed = lift_complex(_unity_seed(n), 53)
-        frac, y = fixed.refine_unity(seed.re, seed.im, n, precision)
+        frac, y = fixed.lift((seed.re, seed.im), fixed.frac_bits(precision))
+        y = fixed.newton(tuple(y), (1 << frac, 0), n, frac)
         reps = [HPComplex(fixed.to_hpreal(re, frac, precision),
                           fixed.to_hpreal(im, frac, precision))
                 for re, im in fixed.powers(y, want, frac)[1:]]
@@ -547,9 +551,24 @@ def solve_unity(n: int, precision: int = 128, use_cache: bool = True) -> RootSet
         off = fixed.to_hpreal(gap, 2 * frac, max(gap.bit_length(), 32))
         if off > out.residual_bound:
             raise NoConvergence("root drifted off the unit circle")
-    if use_cache:
-        _unity_cache[(n, precision)] = out
+    _unity_cache[(n, precision)] = out
     return out
+
+
+def unity_powers(rootset: RootSet) -> tuple:
+    """(omega**0, ..., omega**(n - 1)), omega = e^(2 pi i/n), of a unity
+    root set, read off the documented order of :func:`solve_unity`: the
+    h = ceil(n/2) - 1 upper roots are omega**1..omega**h, then come 1 and,
+    for even n, -1, then the lower roots conj(omega**1)..conj(omega**h),
+    which are omega**(n - 1)..omega**(n - h).  No arithmetic runs, so the
+    table is closed under conjugation bit for bit and its axis entries are
+    exact.  A set that is not a unity set of n roots raises InvalidN.
+    """
+    n, roots = rootset.n, rootset.roots
+    if not rootset.is_unity or len(roots) != n:
+        raise InvalidN(f"unity_powers expects the {n} roots of z**{n} = 1")
+    h = (n - 1) // 2
+    return roots[h:h + 1] + roots[:h] + roots[h + 1:n - h] + roots[n - h:][::-1]
 
 
 def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:

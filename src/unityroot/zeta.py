@@ -4,9 +4,9 @@ Among the n-th roots of unity with positive imaginary part, exactly one
 minimizes the distance to 1; call it zeta = a + ib with radius r = |zeta - 1|.
 For even n >= 6 it is read directly off the solved root set.  n = 1, 2, 4 are
 hard-wired (1, -1, i).  Every other n (the odd ones) goes through the doubled
-index: zeta(2n) is constructed and squared, which lands on the minimizer for
-n itself.  The square is taken in the fixed-point kernel after Newton
-refinement of the rounded zeta(2n) and rounded once, so odd-n zeta is
+index: the square of zeta(2n) lands on the minimizer for n itself, and the
+solved root set of z^(2n) = 1 already holds it, a power of the refined root
+formed in the fixed-point kernel and rounded once, so odd-n zeta is
 correctly rounded like the even indices.
 """
 
@@ -18,7 +18,7 @@ from . import fixed
 from .errors import AmbiguousMinimizer, InvalidN, NoUpperRoot, SelectionError
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
-from .solver import RootSet, distinct_exp, solve_unity
+from .solver import MAX_N, RootSet, distinct_exp, solve_unity, unity_powers
 
 _zeta_cache: dict = {}
 
@@ -85,22 +85,22 @@ def select_zeta(rootset: RootSet) -> Zeta:
     return Zeta(n=rootset.n, a=w.re, b=w.im, r=r, precision=prec)
 
 
-def construct_zeta(n: int, precision: int = 128, use_cache: bool = True) -> Zeta:
+def construct_zeta(n: int, precision: int = 128) -> Zeta:
     """Build zeta(n) for any n >= 1.
 
     n = 1, 2, 4 are exact constants.  Even n >= 6 selects the minimizer from
     solve_unity(n).  Odd n squares zeta(2n): if w generates all 2n-th roots,
     w^2, w^4, ..., w^(2n) are exactly the n distinct n-th roots, and squaring
-    the doubled minimizer lands on the minimizer for n.  zeta(2n) comes from
-    construct_zeta(2n) and shares its cache, so a certificate at the doubled
-    index selects it once.  The rounded zeta(2n) is refined within a few
-    units of 2**-frac of the exact root by
-    :func:`unityroot.fixed.refine_unity`, and its square is rounded once per
-    component.
+    the doubled minimizer lands on the minimizer for n.  That square is
+    entry 2 of :func:`unityroot.solver.unity_powers` of solve_unity(2n),
+    the solve a certificate at the doubled index reads too; no arithmetic
+    runs here but |zeta - 1|.  An odd n above MAX_N / 2 raises InvalidN.
     """
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
-    if use_cache and (n, precision) in _zeta_cache:
+    if n % 2 and 2 * n > MAX_N:
+        raise InvalidN(f"odd n must be in 1..{MAX_N // 2 - 1}, got {n}")
+    if (n, precision) in _zeta_cache:
         return _zeta_cache[(n, precision)]
     one = HPReal.one(precision)
     zero = HPReal.zero(precision)
@@ -112,18 +112,12 @@ def construct_zeta(n: int, precision: int = 128, use_cache: bool = True) -> Zeta
         two = HPReal.from_int(2, precision)
         out = Zeta(4, zero, one, two.sqrt(), precision)
     elif n % 2 == 0:
-        out = select_zeta(solve_unity(n, precision, use_cache=use_cache))
+        out = select_zeta(solve_unity(n, precision))
     else:
-        doubled = construct_zeta(2 * n, precision, use_cache)
-        # Newton on z**(2n) = 1 from the rounded zeta(2n), then the square,
-        # both in the fixed-point kernel: one rounding per component
-        frac, y = fixed.refine_unity(doubled.a, doubled.b, 2 * n, precision)
-        sq = HPComplex(*(fixed.to_hpreal(v, frac, precision)
-                         for v in fixed.mul(y, y, frac)))
+        sq = unity_powers(solve_unity(2 * n, precision))[2]
         r = abs(sq - HPComplex.one(precision))
         out = Zeta(n=n, a=sq.re, b=sq.im, r=r, precision=precision)
-    if use_cache:
-        _zeta_cache[(n, precision)] = out
+    _zeta_cache[(n, precision)] = out
     return out
 
 

@@ -1,7 +1,11 @@
-"""Shared test helpers: exact-value extraction and deterministic sampling."""
+"""Shared test helpers: exact-value extraction, deterministic sampling and
+fresh solves."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
+import unityroot
 from unityroot import HPComplex, HPReal
 
 # Weyl-style low-discrepancy integer sequence; 2654435761 is the Knuth
@@ -50,3 +54,20 @@ def sample_complexes(count: int, precision: int = 128, seed: int = 1):
     res = sample_reals(count, Fraction(-1), Fraction(1), precision, seed=seed)
     ims = sample_reals(count, Fraction(-1), Fraction(1), precision, seed=seed + 7)
     return [HPComplex(r, i) for r, i in zip(res, ims)]
+
+
+def clear_caches():
+    """Empty every module-level cache of the package: the dicts named
+    ``*_cache``, as perfbench's ``Library.clear_caches`` finds them."""
+    for info in pkgutil.iter_modules(unityroot.__path__):
+        mod = importlib.import_module(f"unityroot.{info.name}")
+        for name, value in vars(mod).items():
+            if name.endswith("_cache") and isinstance(value, dict):
+                value.clear()
+
+
+def fresh(compute, *args):
+    """compute(*args) with every package cache emptied first, so a cached
+    solve cannot stand in for a new one."""
+    clear_caches()
+    return compute(*args)

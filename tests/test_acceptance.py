@@ -20,7 +20,7 @@ from unityroot import (HPComplex, HPReal, advance_re, advance_re_derivative,
                        dft_inverse, gcd_primitivity, is_prime,
                        multiplicative_order, prime_shortcut, retreat_re,
                        roots_of, solve_binomial, solve_unity, trig_root)
-from conftest import exact, sample_complexes, sample_reals
+from conftest import exact, fresh, sample_complexes, sample_reals
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -259,8 +259,8 @@ def test_criterion_09_solver_robustness_and_determinism():
     worst = HPReal.zero()
     deterministic = True
     for n in range(1, 257):
-        first = solve_unity(n, use_cache=False)
-        second = solve_unity(n, use_cache=False)
+        first = fresh(solve_unity, n)
+        second = fresh(solve_unity, n)
         deterministic = deterministic and first.bit_identical(second)
         if first.residual_bound > worst:
             worst = first.residual_bound

@@ -197,6 +197,20 @@ class TestErrorsAndFormats:
         assert code == EXIT_DOMAIN
         assert json.loads(out)["error"] == "InvalidN"
 
+    def test_odd_n_above_the_zeta_limit_names_n(self, capsys):
+        # odd-n zeta is read from the 2n-th roots; the detail named 2n
+        n = MAX_N // 2 + 1
+        code, out = run_cli(capsys, "verify", "--n", str(n))
+        doc = json.loads(out)
+        assert code == EXIT_DOMAIN and doc["error"] == "InvalidN"
+        assert doc["detail"] == f"odd n must be in 1..{MAX_N // 2 - 1}, got {n}"
+
+    def test_roots_of_odd_n_solves_at_n_itself(self, capsys):
+        n = MAX_N // 2 + 1
+        code, out = run_cli(capsys, "roots-of", "--n", str(n), "--c-re", "2")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["roots"]) == n
+
     def test_low_precision_rejected(self, capsys):
         code, out = run_cli(capsys, "zeta", "--n", "6", "--precision", "16")
         assert code == EXIT_DOMAIN

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from unityroot import (CertificateFailure, DomainViolation, HPComplex, HPReal,
-                       InvalidN, Zeta, advance_re, advance_re_derivative,
-                       build_certificate, construct_zeta, descent_sequence,
-                       retreat_re, solve_unity)
+                       InvalidN, StepLimit, Zeta, advance_re,
+                       advance_re_derivative, build_certificate,
+                       construct_zeta, descent_sequence, retreat_re,
+                       solve_unity)
 from unityroot.descent import (_arc_exclusion_ok, _reconstruction_ok,
                                _scaled_powers)
 from conftest import exact, sample_reals
@@ -147,9 +148,13 @@ class TestDescentSequence:
         with pytest.raises(InvalidN):
             descent_sequence(construct_zeta(4))
 
-    def test_step_budget_enforced(self, zeta8):
-        with pytest.raises(InvalidN):
-            descent_sequence(zeta8, max_steps=4)
+    def test_step_budget_is_n(self):
+        # zeta(32) takes 16 steps to reach -1; declared as n = 8 it still
+        # lies in the domain after 8
+        z32 = construct_zeta(32)
+        slow = Zeta(n=8, a=z32.a, b=z32.b, r=z32.r, precision=z32.precision)
+        with pytest.raises(StepLimit, match="within 8 steps"):
+            descent_sequence(slow)
 
 
 class TestCertificate:
@@ -358,6 +363,14 @@ class TestArcExclusion:
         roots[4] = roots[4] + nudge  # twice the 2**-64 tolerance
         with pytest.raises(CertificateFailure) as info:
             build_certificate(zeta, replace(rootset, roots=tuple(roots)))
+        assert info.value.failed == ["reconstruction_matches"]
+
+    def test_merge_rejects_truncated_root_set(self):
+        # the first five roots of twelve matched the first five candidates
+        zeta = construct_zeta(12)
+        rootset = solve_unity(12)
+        with pytest.raises(CertificateFailure) as info:
+            build_certificate(zeta, replace(rootset, roots=rootset.roots[:5]))
         assert info.value.failed == ["reconstruction_matches"]
 
     def test_merge_rejects_swapped_roots(self):

@@ -8,9 +8,13 @@ from unityroot import (HPComplex, HPReal, InvalidN, construct_zeta,
 from conftest import exact, sample_complexes
 
 
+def forward(t, k):
+    """The forward kernel conj(zeta)^k: entry -k mod n of the table."""
+    return t.inverse[-k % t.n]
+
+
 def test_single_point_table():
     t = twiddle_table(1)
-    assert t.forward == (HPComplex.one(),)
     assert t.inverse == (HPComplex.one(),)
 
 
@@ -18,27 +22,27 @@ def test_n4_forward_kernel():
     t = twiddle_table(4)
     want = [HPComplex.one(), HPComplex(HPReal.zero(), -HPReal.one()),
             HPComplex.from_int(-1), HPComplex.i()]
-    for got, expect in zip(t.forward, want):
+    for got, expect in zip((forward(t, k) for k in range(4)), want):
         assert (got - expect).abs2() <= HPReal.pow2(-200)
 
 
 def test_n6_first_forward_entry_is_conjugate_of_zeta():
     t = twiddle_table(6)
     z = construct_zeta(6).as_complex()
-    assert t.forward[1] == z.conj()
+    assert forward(t, 1) == z.conj()
 
 
 def test_forward_zero_is_exactly_one():
     for n in (1, 5, 16):
-        assert twiddle_table(n).forward[0] == HPComplex.one()
+        assert forward(twiddle_table(n), 0) == HPComplex.one()
 
 
 def test_forward_inverse_pairs_multiply_to_one():
     t = twiddle_table(16)
     one = HPComplex.one()
     tol2 = HPReal.pow2(-238)
-    for f, inv in zip(t.forward, t.inverse):
-        assert ((f * inv) - one).abs2() <= tol2
+    for k, inv in enumerate(t.inverse):
+        assert ((forward(t, k) * inv) - one).abs2() <= tol2
 
 
 def test_reanchoring_bounds_drift():
@@ -47,7 +51,7 @@ def test_reanchoring_bounds_drift():
     w = construct_zeta(n).as_complex()
     worst = Fraction(0)
     for k in range(n):
-        drift = (t.forward[k] - w.pow(k).conj()).abs2()
+        drift = (forward(t, k) - w.pow(k).conj()).abs2()
         worst = max(worst, exact(drift))
     assert worst <= Fraction(1, 2 ** 224)  # (2**-112)**2
 
@@ -74,6 +78,29 @@ def test_every_twiddle_is_rounded_once(precision):
                     ref = -mag if want < 0 else mag
                     worst = max(worst, abs(exact(got) - ref) / (half_ulp + slack))
     assert worst <= 1, float(worst)
+
+
+# n in 2..300 and around 2**10 and 2**12, at 32, 53, 128 and 256 bits
+INVARIANT_NS = list(range(2, 301)) + [1023, 1024, 1025, 4095, 4096]
+
+
+@pytest.mark.parametrize("precision", [32, 53, 128, 256])
+def test_table_is_the_unity_root_set_read_as_powers(precision):
+    # entry 1 is zeta itself, the table is closed under conjugation bit for
+    # bit, and 1, i, -1, -i sit exactly at k = 0, n/4, n/2, 3n/4
+    one, zero = HPReal.one(precision), HPReal.zero(precision)
+    axis = [HPComplex(one, zero), HPComplex(zero, one),
+            HPComplex(-one, zero), HPComplex(zero, -one)]
+    bad = []
+    for n in INVARIANT_NS:
+        w = twiddle_table(n, precision).inverse
+        if w[1] != construct_zeta(n, precision).as_complex():
+            bad.append((n, "zeta"))
+        if any(w[n - k] != w[k].conj() for k in range(1, n)):
+            bad.append((n, "conjugate"))
+        if any(w[q * n // 4] != z for q, z in enumerate(axis) if q * n % 4 == 0):
+            bad.append((n, "axis"))
+    assert not bad
 
 
 def test_delta_transforms_to_ones():

@@ -12,8 +12,8 @@ from unityroot import fixed, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
 from unityroot.solver import (_csqrt, _float_stage, _sort_roots, _unity_layout,
                               MAX_N, assemble_rootset, contract_tol,
-                              distinct_exp, newton_root)
-from conftest import exact
+                              distinct_exp, newton_root, unity_powers)
+from conftest import exact, fresh
 
 # the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
 # N itself for even N, 2N for odd N
@@ -98,8 +98,8 @@ class TestUnity:
 
     def test_determinism_bit_identical(self):
         for n in (7, 16):
-            a = solve_unity(n, use_cache=False)
-            b = solve_unity(n, use_cache=False)
+            a = fresh(solve_unity, n)
+            b = fresh(solve_unity, n)
             assert a.bit_identical(b)
 
     def test_cache_returns_same_object(self):
@@ -121,9 +121,9 @@ class TestLargeN:
     @pytest.mark.parametrize("n", [307, 320, 640, 1024])
     def test_solve_unity_large_n(self, n):
         # regression sizes for binary64 overflow in the float stage (n >= 307)
-        a = solve_unity(n, use_cache=False)
+        a = fresh(solve_unity, n)
         assert a.residual_bound <= HPReal.pow2(-64)
-        assert a.bit_identical(solve_unity(n, use_cache=False))
+        assert a.bit_identical(fresh(solve_unity, n))
 
     def test_odd_zeta_at_doubled_index_622(self):
         assert zeta_matches_trig(311)
@@ -131,7 +131,7 @@ class TestLargeN:
     def test_n_above_the_limit_is_invalid_n(self):
         # rejected before any work: no solve at the limit runs here
         c = HPComplex.from_int(2)
-        for solve in (lambda: solve_unity(MAX_N + 1, use_cache=False),
+        for solve in (lambda: fresh(solve_unity, MAX_N + 1),
                       lambda: solve_binomial(c, MAX_N + 1),
                       lambda: roots_of(c, MAX_N + 1),
                       lambda: newton_root(c, MAX_N + 1, 128)):
@@ -235,7 +235,7 @@ class TestBinomial:
 
     def test_unity_target_agrees_with_solve_unity(self):
         a = solve_binomial(HPComplex.one(), 6)
-        b = solve_unity(6, use_cache=False)
+        b = fresh(solve_unity, 6)
         assert a.bit_identical(b)
 
     def test_square_roots_of_i(self):
@@ -390,17 +390,17 @@ class TestFixedPointStage:
     def test_solve_unity_32_at_33_bits(self):
         # every z**32 rounds to 1 at 33 bits; the rounded | |z| - 1 | was
         # compared with a bound of 0 and 8 correct roots were rejected
-        rs = solve_unity(32, precision=33, use_cache=False)
+        rs = fresh(solve_unity, 32, 33)
         assert len(rs.roots) == 32
         assert rs.residual_bound <= HPReal.pow2(-16, 33)
 
     def test_solve_unity_2048_at_32_bits(self):
         # the spacing 2 sin(pi/2048) lies below the old floor 2**-8
-        rs = solve_unity(2048, precision=32, use_cache=False)
+        rs = fresh(solve_unity, 2048, 32)
         assert len(rs.roots) == 2048
 
     def test_collapsed_pair_is_still_rejected(self):
-        rs = solve_unity(12, use_cache=False)
+        rs = fresh(solve_unity, 12)
         doubled = list(rs.roots[:11]) + [rs.roots[3]]
         with pytest.raises(NoConvergence, match="collapsed"):
             assemble_rootset(doubled, rs.target, 12, 128)
@@ -448,8 +448,8 @@ class TestFixedPointStage:
 
     def test_fresh_solves_are_bit_identical(self):
         for n, precision in ((100, 128), (33, 33), (64, 256)):
-            assert solve_unity(n, precision, use_cache=False).bit_identical(
-                solve_unity(n, precision, use_cache=False))
+            assert fresh(solve_unity, n, precision).bit_identical(
+                fresh(solve_unity, n, precision))
         c = HPComplex.from_int(-7, 3)
         assert solve_binomial(c, 20).bit_identical(solve_binomial(c, 20))
         assert roots_of(c, 20).bit_identical(roots_of(c, 20))
@@ -530,8 +530,7 @@ class TestSymmetricUnity:
 
     def test_one_refinement_and_one_bound_per_representative(self, monkeypatch):
         refines, steps, bounds = [], [], []
-        refine, step, error = (fixed.refine_unity, fixed.newton_step,
-                               fixed.power_error)
+        refine, step, error = fixed.newton, fixed.newton_step, fixed.power_error
 
         def counted_refine(*args):
             refines.append(args[2])
@@ -545,7 +544,7 @@ class TestSymmetricUnity:
             bounds.append(args[1])
             return error(*args)
 
-        monkeypatch.setattr(fixed, "refine_unity", counted_refine)
+        monkeypatch.setattr(fixed, "newton", counted_refine)
         monkeypatch.setattr(fixed, "newton_step", counted_step)
         monkeypatch.setattr(fixed, "power_error", counted_error)
         over = []
@@ -555,7 +554,7 @@ class TestSymmetricUnity:
             refines.clear()
             steps.clear()
             bounds.clear()
-            solve_unity(n, precision, use_cache=False)
+            fresh(solve_unity, n, precision)
             reps = representatives(n)
             # Newton runs on omega alone: a few steps from the binary64 seed
             if (refines != [n] * min(reps, 1) or len(steps) > 3 * len(refines)
@@ -567,6 +566,37 @@ class TestSymmetricUnity:
 def trig_seed(k):
     """A seed at e^(2 pi i k/n), k = 1 the right one, from the oracle."""
     return lambda n: trig_root(n, k % n).value.to_complex()
+
+
+class TestUnityPowers:
+    def test_entry_k_is_the_kth_power_of_entry_one(self):
+        # against the oracle's e^(2 pi i k/n) and the product of two entries
+        off = []
+        tol2 = HPReal.pow2(-240)
+        for n in list(range(1, 41)) + [64, 99, 100]:
+            pw = unity_powers(solve_unity(n))
+            if len(pw) != n:
+                off.append((n, len(pw)))
+                continue
+            for k, w in enumerate(pw):
+                if ((w - trig_root(n, k).value).abs2() > tol2
+                        or (w - pw[1 % n] * pw[k - 1]).abs2() > tol2):
+                    off.append((n, k))
+        assert not off
+
+    def test_entries_are_the_root_set(self):
+        for n in (1, 2, 3, 4, 12, 15):
+            rs = solve_unity(n)
+            assert sorted(map(bits, unity_powers(rs))) == sorted(map(bits, rs.roots))
+
+    def test_rejects_truncated_and_non_unity_sets(self):
+        rs = solve_unity(12)
+        with pytest.raises(InvalidN):
+            unity_powers(RootSet(n=12, target=rs.target, roots=rs.roots[:5],
+                                 residual_bound=rs.residual_bound,
+                                 precision=128))
+        with pytest.raises(InvalidN):
+            unity_powers(solve_binomial(HPComplex.from_int(2), 3))
 
 
 class TestDirectUnity:
@@ -592,7 +622,7 @@ class TestDirectUnity:
         monkeypatch.setattr(solver, "_unity_seed", seed)
         for n in (3, 5, 7, 12, 30, 100, 101, 1024):
             with pytest.raises(NoConvergence):
-                solve_unity(n, use_cache=False)
+                fresh(solve_unity, n)
 
     @pytest.mark.parametrize("ns,precision", [
         (list(range(1, 201)) + [255, 256, 298, 1024], 128), ([1024], 32)])

@@ -8,7 +8,7 @@ from unityroot import (AmbiguousMinimizer, HPComplex, HPReal, InvalidN,
                        construct_zeta, radius_identity_check, select_zeta,
                        solve_unity)
 from unityroot.oracle import trig_root
-from conftest import exact
+from conftest import exact, fresh
 
 
 def test_trivial_indices_are_exact():
@@ -221,7 +221,7 @@ def test_odd_zeta_is_correctly_rounded():
 def test_zeta_2048_at_32_bits():
     # the two smallest |w - 1| differ by about 2 pi/2048 < 2**-8, the old
     # absolute tie gap: AmbiguousMinimizer after a correct solve
-    z = construct_zeta(2048, 32, use_cache=False)
+    z = fresh(construct_zeta, 2048, 32)
     want = trig_root(2048, 1, 32).value
     tol = HPReal.pow2(-28, 32)
     assert abs(z.a - want.re) <= tol and abs(z.b - want.im) <= tol
