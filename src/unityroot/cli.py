@@ -314,9 +314,9 @@ def run(cfg: CliConfig) -> int:
         _emit({"schema_version": SCHEMA_VERSION, "error": "InvalidN",
                "detail": f"n must be >= 1, got {cfg.n}"}, cfg)
         return EXIT_DOMAIN
-    if cfg.command == "order" and (cfg.m is None or cfg.m < 1):
+    if cfg.command == "order" and (cfg.m is None or not 1 <= cfg.m <= cfg.n):
         _emit({"schema_version": SCHEMA_VERSION, "error": "InvalidM",
-               "detail": f"m must be >= 1, got {cfg.m}"}, cfg)
+               "detail": f"m must satisfy 1 <= m <= n = {cfg.n}, got {cfg.m}"}, cfg)
         return EXIT_DOMAIN
     if cfg.precision < 32:
         _emit({"schema_version": SCHEMA_VERSION, "error": "InvalidPrecision",

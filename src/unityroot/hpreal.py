@@ -49,6 +49,34 @@ def round_raw(sign: int, mant: int, exp: int, precision: int, sticky: bool = Fal
 
 
 # ---------------------------------------------------------------------------
+# decimal digits of integers of any size
+# ---------------------------------------------------------------------------
+
+# str() and int() on an integer of more than 4300 decimal digits raise
+# ValueError (the interpreter's default limit); below these sizes they are
+# called directly, above them the digits are split in halves
+_STR_BITS = 14000  # 14000 bits hold at most 4215 digits
+_STR_DIGITS = 4000
+
+
+def _int_digits(v: int) -> str:
+    """str(v) for v >= 0 of any size: halves split by divmod with 10**k."""
+    if v.bit_length() <= _STR_BITS:
+        return str(v)
+    k = v.bit_length() * 3 // 20  # below half the digits: log10(2) > 0.3
+    hi, lo = divmod(v, 10 ** k)
+    return _int_digits(hi) + _int_digits(lo).rjust(k, "0")
+
+
+def _parse_digits(text: str) -> int:
+    """int(text) for a string of decimal digits of any length."""
+    if len(text) <= _STR_DIGITS:
+        return int(text)
+    k = len(text) // 2
+    return _parse_digits(text[:-k]) * 10 ** k + _parse_digits(text[-k:])
+
+
+# ---------------------------------------------------------------------------
 # the scalar type
 # ---------------------------------------------------------------------------
 
@@ -333,21 +361,21 @@ class HPReal:
             return "0"
         prefix = "-" if self.sign < 0 else ""
         if self.exponent >= 0:
-            return prefix + str(self.mantissa << self.exponent)
+            return prefix + _int_digits(self.mantissa << self.exponent)
         shift = -self.exponent
         whole = self.mantissa >> shift
         frac = self.mantissa & ((1 << shift) - 1)
-        ndigits = len(str(1 << (shift + 2)))  # 10**ndigits > 2**(shift+2)
+        ndigits = len(_int_digits(1 << (shift + 2)))  # 10**ndigits > 2**(shift+2)
         scaled, rem = divmod(frac * 10 ** ndigits, 1 << shift)
         if 2 * rem >= (1 << shift):
             scaled += 1
             if scaled == 10 ** ndigits:
                 whole += 1
                 scaled = 0
-        digits = str(scaled).rjust(ndigits, "0").rstrip("0")
+        digits = _int_digits(scaled).rjust(ndigits, "0").rstrip("0")
         if not digits:
-            return prefix + str(whole)
-        return f"{prefix}{whole}.{digits}"
+            return prefix + _int_digits(whole)
+        return f"{prefix}{_int_digits(whole)}.{digits}"
 
     @classmethod
     def from_decimal(cls, text: str, precision: int = 128) -> "HPReal":
@@ -371,7 +399,7 @@ class HPReal:
             whole, frac = mant_part, ""
         if not (whole + frac).isdigit() or not (whole or frac):
             raise ValueError(f"not a decimal number: {text!r}")
-        digits = int(whole + frac) if (whole + frac) else 0
+        digits = _parse_digits(whole + frac)
         scale = exp10 - len(frac)
         if digits == 0:
             return cls._raw(0, 0, 0, precision)

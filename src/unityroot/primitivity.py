@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import fixed
 from .errors import NotARoot, NotPrime, ZeroTarget
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
@@ -43,24 +44,41 @@ class PrimitivityReport:
     tol: HPReal
 
 
-def _unity_tol(w: HPComplex, n: int, tol: HPReal | None) -> tuple:
-    """(one, tol, tol**2) at w's precision, tol defaulting to contract_tol,
-    once w^n = 1 within tol; NotARoot otherwise."""
-    one = HPComplex.one(w.precision)
+def _unity_test(w: HPComplex, n: int, tol: HPReal | None) -> tuple:
+    """(tol, within), tol defaulting to contract_tol at w's precision and
+    within(d) deciding |w^d - 1|**2 <= tol**2, once w^n = 1 within tol;
+    NotARoot otherwise.
+
+    w and tol enter the fixed-point kernel exactly, at no fewer than
+    frac_bits(w.precision) fraction bits, and w^d is fixed.power's, so each
+    test is one power and one comparison of exact integers.
+    """
     if tol is None:
         tol = contract_tol(w.precision)
-    tol2 = tol * tol
-    if (w.pow(n) - one).abs2() > tol2:
+    frac, (wr, wi, t) = fixed.lift((w.re, w.im, tol), fixed.frac_bits(w.precision))
+    one, t2 = 1 << frac, t * t
+    # g = floor(log2 |w|); for g >= 1, |w^d - 1| >= |w|^d / 2 >= 2**(g d - 1),
+    # so a power that would outgrow tol < 2**(t.bit_length() - frac) is
+    # never formed
+    g = ((wr * wr + wi * wi).bit_length() - 1) // 2 - frac
+
+    def within(d: int) -> bool:
+        if g >= 1 and g * d - 1 >= abs(t).bit_length() - frac:
+            return False
+        pr, pi = fixed.power((wr, wi), d, frac)
+        return (pr - one) ** 2 + pi * pi <= t2
+
+    if not within(n):
         raise NotARoot(f"w^{n} is not 1 within tolerance")
-    return one, tol, tol2
+    return tol, within
 
 
 def multiplicative_order(w: HPComplex, n: int, tol: HPReal | None = None) -> PrimitivityReport:
     """Smallest d >= 1 with |w^d - 1| <= tol; only divisors of n can qualify,
     so only those are scanned."""
-    one, tol, tol2 = _unity_tol(w, n, tol)
+    tol, within = _unity_test(w, n, tol)
     for d in _divisors(n):
-        if (w.pow(d) - one).abs2() <= tol2:
+        if within(d):
             return PrimitivityReport(w=w, n=n, order=d,
                                      is_primitive=(d == n), tol=tol)
     raise NotARoot("no divisor order found despite w^n = 1")  # unreachable
@@ -77,8 +95,8 @@ def prime_shortcut(w: HPComplex, n: int, tol: HPReal | None = None) -> bool:
     """For prime n, every n-th root of unity other than 1 is primitive."""
     if not is_prime(n):
         raise NotPrime(f"{n} is not prime")
-    one, _, tol2 = _unity_tol(w, n, tol)
-    return (w - one).abs2() > tol2
+    _, within = _unity_test(w, n, tol)
+    return not within(1)
 
 
 def roots_of(c: HPComplex, n: int, precision: int = 128) -> RootSet:

@@ -10,17 +10,14 @@ lifts Aberth's roots to even n).
 
 For a general c (:func:`solve_binomial`), after an exact power-of-two
 reduction of c, the float stage finds the roots in hardware binary64.
-Write n = 2**j m with m odd: Aberth's simultaneous method (Aberth 1973;
-Bini 1996, the MPSolve design) runs Jacobi sweeps on z**m = c only, from
-the rotation seeds u, u^2, ..., u^m, u = g/|g| with g = 0.4 + 0.9i:
-unit-circle points at irrational angles, which break the symmetry that
-stalls exact-circle seeds on z**m - 1.  The roots of z**(2d) = c are
+Write n = 2**j m with m odd: Aberth's simultaneous method runs Jacobi
+sweeps on z**m = c only (:mod:`unityroot.aberth`, the package's one numpy
+user, imported on the first such solve).  The roots of z**(2d) = c are
 +-sqrt(y) for the roots y of z**d = c, so j square-root lifting steps give
-all n roots.  The repulsion sums are formed in blocks of at most 256 rows,
-so the stage needs O(256 m) memory.  The settled estimates seed Newton,
-one root at a time.  The residual bound of every root set is a proven
-upper bound evaluated in the same kernel.  Every stage is a pure function
-of (c, n, precision), so repeated calls are bit-identical.
+all n roots.  The settled estimates seed Newton, one root at a time.  The
+residual bound of every root set is a proven upper bound evaluated in the
+same kernel.  Every stage is a pure function of (c, n, precision), so
+repeated calls are bit-identical.
 
 z**n = 1 is solved without a simultaneous solve (:func:`solve_unity`).
 omega = e^(2 pi i/n) = (-1)**(2/n) is seeded in binary64
@@ -51,24 +48,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fixed
 from .errors import InvalidN, NoConvergence, ZeroTarget
 from .hpcomplex import HPComplex, lift_complex
 from .hpreal import HPReal
-
-_SEED = complex(0.4, 0.9)
-_ROTATION = _SEED / abs(_SEED)
 
 # the largest n any solve accepts.  The slowest path at the limit is
 # solve_binomial at odd n, Aberth at O(n**2) per sweep: cold, on a 2-CPU
 # shared x86-64 host, 73 s and 292 MB peak RSS at n = 32767 (20 s, 166 MB at
 # 16383).  Odd-n zeta solves at 2n, so `verify --n 16383` stays legal.
 MAX_N = 32768
-
-# rows of the Aberth repulsion sums formed at once
-_BLOCK = 256
 
 _unity_cache: dict = {}
 
@@ -106,31 +95,6 @@ class RootSet:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_seeds(n: int, scale: float) -> np.ndarray:
-    """scale * u^k for k = 1..n with u = g/|g| on the unit circle: distinct
-    points whose angles (k times an irrational multiple of pi) never fall
-    into the n-fold symmetry that stalls exact-circle seeds on z**n - 1."""
-    out = np.empty(n, dtype=np.complex128)
-    cur = 1.0 + 0.0j
-    for k in range(n):
-        cur = cur * _ROTATION
-        out[k] = cur * scale
-    return out
-
-
-def _pow(w: np.ndarray, n: int) -> np.ndarray:
-    """w**n by binary powering (numpy's complex power goes through exp and
-    log for n >= 100)."""
-    out = np.ones_like(w)
-    while n:
-        if n & 1:
-            out = out * w
-        n >>= 1
-        if n:
-            w = w * w
-    return out
-
-
 def _csqrt(y: complex) -> complex:
     """The principal square root of a machine complex, without cancellation:
     the larger component is t = sqrt((|y| + |Re y|)/2), the other
@@ -160,86 +124,22 @@ def _pow_frac(base: complex, g: int, n: int) -> complex:
 
 
 def _float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
-    """Binary64 roots of z**n = c; returns (roots, sweeps_used).
+    """Binary64 roots of z**n = c as a list; returns (roots, sweeps_used).
 
-    Write n = 2**j m with m odd.  Aberth runs on z**m = c (:func:`_aberth`),
-    and each of j lifting steps turns the roots y of z**(n/2**i) = c into
-    the roots +-sqrt(y) of z**(2n/2**i) = c, so the sweeps see m roots only.
+    Write n = 2**j m with m odd.  Aberth runs on z**m = c
+    (:func:`unityroot.aberth.roots`, imported here on first use, so only
+    this stage loads numpy), and each of j lifting steps turns the roots y
+    of z**(n/2**i) = c into the roots +-sqrt(y) of z**(2n/2**i) = c, so the
+    sweeps see m roots only.
     """
+    from . import aberth
+
     j = (n & -n).bit_length() - 1
-    z, used = _aberth(n >> j, c, sweep_budget)
+    z, used = aberth.roots(n >> j, c, sweep_budget)
     for _ in range(j):
-        r = np.array([_csqrt(y) for y in z.tolist()])
-        z = np.concatenate((r, -r))
+        r = [_csqrt(y) for y in z]
+        z = r + [-y for y in r]
     return z, used
-
-
-def _repulsion(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """S_i, the sum of 1/(z_i - z_j) over j != i, for each i in idx.
-
-    The rows are formed in blocks of at most _BLOCK, so memory is
-    O(_BLOCK len(z)); each row is still summed whole, by the same pairwise
-    summation as a full matrix's row.
-    """
-    out = np.empty(len(idx), dtype=np.complex128)
-    for lo in range(0, len(idx), _BLOCK):
-        block = idx[lo:lo + _BLOCK]
-        rows = np.arange(len(block))
-        inv = z[block, None] - z[None, :]
-        inv[rows, block] = 1.0
-        np.divide(1.0, inv, out=inv)
-        inv[rows, block] = 0.0
-        out[lo:lo + _BLOCK] = inv.sum(axis=1)
-    return out
-
-
-def _aberth(n: int, c: complex, sweep_budget: int) -> tuple:
-    """Aberth sweeps in binary64; returns (roots, sweeps_used).
-
-    A root moves by 1/(R - S), S = :func:`_repulsion` and R = p'/p written
-    so that no power overflows: (n/z) t/(t - c) with t = z^n for |z| <= 1,
-    (n/z)/(1 - c t) with t = (1/z)^n for |z| > 1.  A root freezes once both
-    its correction and its residual are small; the frozen value keeps
-    repelling the still-active roots (Jacobi contract).  z**1 = c needs no
-    sweep.
-    """
-    if n == 1:
-        return np.array([c], dtype=np.complex128), 0
-    scale = abs(c)
-    ebits = math.frexp(1.0 + scale)[1]
-    z = _rotation_seeds(n, 2.0 ** max(ebits // n, 0))
-    active = np.ones(n, dtype=bool)
-    corr_tol = 1e-11 * max(1.0, scale)
-    res_tol = 1e-9 * max(1.0, scale) * n
-    for sweep in range(1, sweep_budget + 1):
-        idx = np.nonzero(active)[0]
-        za = z[idx]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore",
-                         divide="ignore"):
-            s = _repulsion(z, idx)
-            inside = np.abs(za) <= 1.0
-            t = _pow(np.where(inside, za, 1.0 / za), n)
-            den = np.where(inside, t - c, 1.0 - c * t)
-            num = (n / za) * np.where(inside, t, 1.0)
-            # 1/(R - S) with R = num/den, exactly zero at an exact root
-            corr = den / (num - s * den)
-            pz = np.where(inside, den, den / t)
-        mag = np.abs(corr)
-        limit = 4.0 * (1.0 + np.abs(za))
-        over = mag > limit
-        if over.any():
-            corr = np.where(over, corr * (limit / np.where(mag == 0.0, 1.0, mag)), corr)
-            mag = np.abs(corr)
-        z = z.copy()
-        z[idx] = za - corr
-        settled = (mag < corr_tol) & (np.abs(pz) < res_tol)
-        if settled.any():
-            active = active.copy()
-            active[idx[settled]] = False
-            if not active.any():
-                return z, sweep
-    raise NoConvergence(
-        f"float stage did not settle within {sweep_budget} sweeps for n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +265,21 @@ def _collapsed_pair(zs: list, n: int, precision: int):
     e = distinct_exp(n, precision)
     approx = [z.to_complex() for z in zs]
     order = sorted(range(len(zs)), key=lambda u: approx[u].real)
-    ranked = np.array([approx[u] for u in order])
+    ranked = [approx[u] for u in order]
     band = max(2.0 ** -e * 4.0, 1e-12)
     thr2 = HPReal.pow2(-e, precision)
     thr2 = thr2 * thr2
     for d in range(1, len(zs)):
-        for j in np.nonzero(np.abs(ranked[d:] - ranked[:-d]) < band)[0]:
-            u, v = sorted((order[j], order[j + d]))
-            if (zs[u] - zs[v]).abs2() <= thr2:
-                return u, v
-        if not (ranked.real[d:] - ranked.real[:-d] < band).any():
+        near = False
+        for j, (a, b) in enumerate(zip(ranked, ranked[d:])):
+            # sorted, so |b - a| < band implies a real-part gap below it
+            if b.real - a.real < band:
+                near = True
+                if abs(b - a) < band:
+                    u, v = sorted((order[j], order[j + d]))
+                    if (zs[u] - zs[v]).abs2() <= thr2:
+                        return u, v
+        if not near:
             break
     return None
 
@@ -443,7 +348,7 @@ def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
     if not (math.isfinite(cf.real) and math.isfinite(cf.imag)):
         raise NoConvergence("target magnitude outside the supported range")
     floats, _ = _float_stage(n, cf, 50 + 10 * n)
-    zs = _newton(floats.tolist(), c, n, k, precision)
+    zs = _newton(floats, c, n, k, precision)
     return assemble_rootset(zs, c, n, precision)
 
 

@@ -57,6 +57,13 @@ class TestZetaCommand:
         code, out = run_cli(capsys, "zeta", "--n", "4", "--certificate")
         assert json.loads(out)["certificate"] is None
 
+    def test_precision_past_the_interpreter_digit_limit(self, capsys):
+        # r = sqrt(2) prints with over 4500 digits at 15000 bits
+        code, out = run_cli(capsys, "zeta", "--n", "4", "--precision", "15000")
+        assert code == EXIT_OK
+        r = HPReal.from_decimal(json.loads(out)["r"], 15000)
+        assert r == HPReal.from_int(2, 15000).sqrt()
+
 
 class TestRootsCommand:
     def test_n4_roots(self, capsys):
@@ -88,6 +95,12 @@ class TestOrderCommand:
         code, out = run_cli(capsys, "order", "--n", "7", "--m", "3")
         doc = json.loads(out)
         assert doc["order"] == 7 and doc["is_primitive"] is True
+
+    @pytest.mark.parametrize("m", ["0", "7"])
+    def test_m_outside_one_to_n_is_invalid_m(self, capsys, m):
+        code, out = run_cli(capsys, "order", "--n", "6", "--m", m)
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"] == "InvalidM"
 
 
 class TestVerifyCommand:
@@ -151,6 +164,16 @@ class TestRootsOfCommand:
     def test_malformed_decimal_is_domain_error(self, capsys):
         code, out = run_cli(capsys, "roots-of", "--n", "3", "--c-re", "abc")
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("c_re", ["1e12000", "1e-12000"])
+    def test_targets_past_the_interpreter_digit_limit(self, capsys, c_re):
+        # c and its root print with over 12000 digits
+        code, out = run_cli(capsys, "roots-of", "--n", "1", "--c-re", c_re)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        want = HPReal.from_decimal(c_re)
+        assert HPReal.from_decimal(doc["c"]["re"]) == want
+        assert HPReal.from_decimal(doc["roots"][0]["re"]) == want
 
 
 class TestDftCommand:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,34 @@ class TestDecimalSerialization:
         assert HPReal.zero().decimal() == "0"
         assert HPReal.from_int(42).decimal() == "42"
         assert HPReal.from_ratio(-1, 2).decimal() == "-0.5"
+
+    def test_round_trip_past_the_interpreter_digit_limit(self):
+        # str() and int() refuse integers of more than 4300 digits: 2**40002,
+        # behind the digit count of 2**-40000, and the digits of the others
+        samples = [HPReal.pow2(40000), HPReal.pow2(-40000),
+                   -HPReal.from_ratio(1, 3, 15000),
+                   HPReal.from_ratio(10 ** 20 + 7, 3, 15000).scale2(-30000)]
+        for x in samples:
+            text = x.decimal()
+            assert len(text) > 4300
+            back = HPReal.from_decimal(text, x.precision)
+            assert (back.sign, back.mantissa, back.exponent) == (
+                x.sign, x.mantissa, x.exponent)
+
+    def test_long_strings_match_the_unlimited_conversion(self):
+        # the split conversion against str/int with the limit lifted
+        x = HPReal.from_ratio(-22, 7, 15000).scale2(20000)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = "-" + str(x.mantissa << x.exponent)
+            digits = "9" * 5000 + "1" * 5000
+            value = int(digits)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert x.decimal() == want
+        assert HPReal.from_decimal("0." + digits, 256) == HPReal.from_ratio(
+            value, 10 ** 10000, 256)
 
     def test_parse_exponent_forms(self):
         assert HPReal.from_decimal("1e3") == 1000

@@ -1,6 +1,9 @@
 """Module boundaries inside the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import unityroot
@@ -64,3 +67,48 @@ def test_no_transcendental_outside_the_oracle():
                     and node.attr in aliases.get(node.value.id, ())):
                 found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert not found
+
+
+def test_numpy_is_imported_by_the_aberth_stage_alone():
+    # the float stage of solve_binomial is the package's one numpy user
+    found = []
+    for path in sorted(Path(unityroot.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [path.name for name in names if name.split(".")[0] == "numpy"]
+    assert found == ["aberth.py"]
+
+
+# every CLI command in a fresh interpreter, then one solve_binomial: numpy
+# is loaded by the solve and by nothing before it
+_COLD_PROBE = """
+import json, sys
+from pathlib import Path
+import unityroot
+from unityroot import HPComplex, cli, solve_binomial
+out = Path(sys.argv[1])
+vec = out / "vec.json"
+vec.write_text(json.dumps({"values": [{"re": "1", "im": "0"}, {"re": "0", "im": "1"},
+                                      {"re": "-0.5", "im": "0"}]}))
+for argv in (["verify", "--n", "12"], ["roots", "--n", "8"],
+             ["zeta", "--n", "7", "--certificate"], ["order", "--n", "6", "--m", "5"],
+             ["roots-of", "--n", "3", "--c-re", "-8"], ["dft", "--input", str(vec)]):
+    assert cli.main(argv + ["--output", str(out / "out.json")]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert len(solve_binomial(HPComplex.from_int(-8), 3).roots) == 3
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_cli_commands_run_without_numpy(tmp_path):
+    src = str(Path(unityroot.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _COLD_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr

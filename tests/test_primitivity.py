@@ -6,6 +6,7 @@ from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, NotARoot, Not
                        ZeroTarget, construct_zeta, gcd_primitivity, is_prime,
                        multiplicative_order, prime_shortcut, roots_of,
                        solve_binomial, solve_unity)
+from unityroot import fixed
 
 
 def real_nth_root(x: HPReal, n: int) -> HPReal:
@@ -49,6 +50,22 @@ class TestOrder:
         z = HPComplex(HPReal.from_ratio(1, 2), HPReal.from_ratio(1, 2))
         with pytest.raises(NotARoot):
             multiplicative_order(z, 6)
+
+    def test_large_w_is_rejected_without_forming_its_power(self, monkeypatch):
+        # |w^n - 1| >= 2**(1000 n - 1) is decided from |w| alone: the power
+        # itself would hold 4 million bits
+        calls = []
+        monkeypatch.setattr(fixed, "power", lambda *args: calls.append(args))
+        with pytest.raises(NotARoot):
+            multiplicative_order(HPComplex(HPReal.pow2(1000), HPReal.zero()), 4096)
+        assert not calls
+
+    def test_wide_tolerance_still_forms_the_powers(self):
+        # |3 - 1| = 2 and |3^2 - 1| = 8: within tol 8, and 8 > tol 7
+        three = HPComplex.from_int(3)
+        assert multiplicative_order(three, 2, HPReal.from_int(8)).order == 1
+        with pytest.raises(NotARoot):
+            multiplicative_order(three, 2, HPReal.from_int(7))
 
 
 class TestGcdCriterion:

@@ -1,5 +1,6 @@
 import bisect
 import cmath
+import random
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
                        ZeroTarget, cofactor_eval, roots_of, simple_zero_check,
                        solve_binomial, solve_unity)
-from unityroot import fixed, solver
+from unityroot import aberth, fixed, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
 from unityroot.solver import (_csqrt, _float_stage, _sort_roots, _unity_layout,
                               MAX_N, assemble_rootset, contract_tol,
@@ -150,7 +151,11 @@ class TestLargeN:
 
 
 def same_floats(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    """Bit-identical lists of machine complex numbers, signed zeros included."""
+    def bits(zs):
+        return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+    return bits(a) == bits(b)
 
 
 class TestSquareRootLifting:
@@ -162,8 +167,8 @@ class TestSquareRootLifting:
             for c in self.TARGETS:
                 z, used = _float_stage(n, c, 50 + 10 * n)
                 y, half_used = _float_stage(n // 2, c, 50 + 10 * n)
-                w = np.array([_csqrt(v) for v in y.tolist()])
-                if not (same_floats(z, np.concatenate((w, -w)))
+                w = [_csqrt(v) for v in y]
+                if not (same_floats(z, w + [-v for v in w])
                         and used == half_used):
                     wrong.append((n, c))
         assert not wrong
@@ -219,11 +224,90 @@ class TestBlockedRepulsion:
     @pytest.mark.parametrize("c", [1 + 0j, complex(-7, 3)])
     def test_blocks_match_the_full_matrix(self, monkeypatch, c):
         n = 771  # odd, more than three blocks of rows
-        assert n > 3 * solver._BLOCK
+        assert n > 3 * aberth._BLOCK
         got = _float_stage(n, c, 50 + 10 * n)
-        monkeypatch.setattr(solver, "_repulsion", self.full_matrix)
+        monkeypatch.setattr(aberth, "_repulsion", self.full_matrix)
         want = _float_stage(n, c, 50 + 10 * n)
         assert got[1] == want[1] and same_floats(got[0], want[0])
+
+
+class TestCollapsedPair:
+    """The sorted binary64 screen of _collapsed_pair against every pair."""
+
+    @staticmethod
+    def every_pair(zs, n, precision):
+        # all pairs closer than the floor, in index order; binary64 only
+        # skips pairs more than twice the floor apart
+        e = distinct_exp(n, precision)
+        thr2 = HPReal.pow2(-e, precision) * HPReal.pow2(-e, precision)
+        approx = np.array([z.to_complex() for z in zs])
+        found = []
+        for u in range(len(zs) - 1):
+            close = np.nonzero(np.abs(approx[u + 1:] - approx[u]) < 2.0 ** (1 - e))[0]
+            found += [(u, v) for v in (u + 1 + close).tolist()
+                      if (zs[u] - zs[v]).abs2() <= thr2]
+        return found
+
+    @staticmethod
+    def planted_set(rng, size, precision, inside):
+        """size points: random ones with |re|, |im| in [1/4, 1), conjugate
+        pairs, and columns of points sharing one real part, so the screen
+        must look past the next neighbour, all at least four floors apart;
+        then a twin of one point at the floor plus one ulp and, if `inside`,
+        a twin of another at the floor minus one ulp, each along re or im."""
+        floor = HPReal.pow2(-distinct_exp(size, precision), precision)
+
+        def coord():
+            x = HPReal.from_ratio(3 * rng.getrandbits(precision) + (1 << precision),
+                                  1 << (precision + 2), precision)
+            return -x if rng.random() < 0.5 else x
+
+        count = size - 1 - inside
+        zs = []
+        while len(zs) < count + 8:
+            z, kind = HPComplex(coord(), coord()), rng.random()
+            if kind < 0.2:
+                zs += [z, z.conj()]
+            elif kind < 0.3:
+                zs += [HPComplex(z.re, coord()) for _ in range(rng.randint(2, 6))]
+            else:
+                zs.append(z)
+        approx = np.array([z.to_complex() for z in zs])
+        far = 4 * floor.to_float()
+        zs = [z for u, z in enumerate(zs)
+              if not (np.abs(approx[:u] - approx[u]) < far).any()]
+        assert len(zs) >= count
+        zs = zs[:count]
+
+        def twin(z, sign):
+            # a step toward zero keeps the difference exact
+            along_re = rng.random() < 0.5
+            x = z.re if along_re else z.im
+            step = floor + sign * HPReal.pow2(x.exponent, precision)
+            step = -step if x.sign > 0 else step
+            return HPComplex(z.re + step, z.im) if along_re else HPComplex(z.re, z.im + step)
+
+        a, b = rng.sample(zs, 2)
+        zs.append(twin(a, 1))
+        if inside:
+            zs.append(twin(b, -1))
+        rng.shuffle(zs)
+        return zs
+
+    @pytest.mark.parametrize("precision", [32, 128])
+    def test_same_pair_as_every_pair_scan(self, precision):
+        rng = random.Random(precision)
+        seen = {True: 0, False: 0}
+        for size in (4, 5, 17, 64, 255, 1024, 2048):
+            for inside in (False, True):
+                zs = self.planted_set(rng, size, precision, inside)
+                found = self.every_pair(zs, size, precision)
+                assert len(found) <= 1
+                got = solver._collapsed_pair(zs, size, precision)
+                assert found == ([] if got is None else [got]), (size, inside)
+                seen[bool(found)] += 1
+        # the ulp below the floor collapses and the ulp above it does not
+        assert seen == {True: 7, False: 7}
 
 
 class TestBinomial:
