@@ -12,11 +12,11 @@ from .dft import TwiddleTable, dft_forward, dft_inverse, twiddle_table
 from .descent import (CertificateChecks, ZetaCertificate, advance_re,
                       advance_re_derivative, build_certificate,
                       descent_sequence, retreat_re)
-from .errors import (AmbiguousMinimizer, CertificateFailure, DivisionByZero,
-                     DomainError, DomainViolation, InvalidN, NegativeSqrt,
-                     NoConvergence, NonDescent, NotARoot, NotPrime,
-                     NoUpperRoot, NumericalError, SelectionError, StepLimit,
-                     UnityRootError, ZeroTarget)
+from .errors import (CertificateFailure, DivisionByZero, DomainError,
+                     DomainViolation, InvalidM, InvalidN, InvalidPrecision,
+                     NegativeSqrt, NoConvergence, NonDescent, NotARoot,
+                     NotPrime, NumericalError, StepLimit, UnityRootError,
+                     ZeroTarget)
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
 from .oracle import OracleRoot, trig_root, zeta_matches_trig
@@ -24,21 +24,21 @@ from .primitivity import (PrimitivityReport, gcd_primitivity, is_prime,
                           multiplicative_order, prime_shortcut, roots_of)
 from .solver import (RootSet, cofactor_eval, simple_zero_check,
                      solve_binomial, solve_unity)
-from .zeta import Zeta, construct_zeta, radius_identity_check, select_zeta
+from .zeta import Zeta, construct_zeta, radius_identity_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousMinimizer", "CertificateChecks", "CertificateFailure",
-    "DivisionByZero", "DomainError", "DomainViolation", "HPComplex",
-    "HPReal", "InvalidN", "NegativeSqrt", "NoConvergence", "NonDescent",
-    "NotARoot", "NotPrime", "NoUpperRoot", "NumericalError", "OracleRoot",
-    "PrimitivityReport", "RootSet", "SelectionError", "StepLimit",
+    "CertificateChecks", "CertificateFailure", "DivisionByZero",
+    "DomainError", "DomainViolation", "HPComplex", "HPReal", "InvalidM",
+    "InvalidN", "InvalidPrecision", "NegativeSqrt", "NoConvergence",
+    "NonDescent", "NotARoot", "NotPrime", "NumericalError", "OracleRoot",
+    "PrimitivityReport", "RootSet", "StepLimit",
     "TwiddleTable", "UnityRootError", "Zeta", "ZetaCertificate",
     "ZeroTarget", "advance_re", "advance_re_derivative", "build_certificate",
     "cofactor_eval", "construct_zeta", "descent_sequence", "dft_forward",
     "dft_inverse", "gcd_primitivity", "is_prime", "multiplicative_order",
     "prime_shortcut", "radius_identity_check", "retreat_re", "roots_of",
-    "select_zeta", "simple_zero_check", "solve_binomial", "solve_unity",
+    "simple_zero_check", "solve_binomial", "solve_unity",
     "trig_root", "twiddle_table", "zeta_matches_trig",
 ]

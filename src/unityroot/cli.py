@@ -17,14 +17,14 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .descent import ZetaCertificate, build_certificate
+from .descent import DESCENT_MIN_N, ZetaCertificate, build_certificate
 from .errors import CertificateFailure, DomainError, NumericalError
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
 from .oracle import zeta_matches_trig
 from .primitivity import gcd_primitivity, multiplicative_order, roots_of
 from .solver import solve_unity
-from .zeta import construct_zeta, radius_identity_check
+from .zeta import construct_zeta, radius_identity_check, zeta_basis
 
 SCHEMA_VERSION = "1"
 
@@ -138,12 +138,12 @@ def _certificate_payload(cert: ZetaCertificate) -> dict:
 
 
 def _make_certificate(n: int, precision: int):
-    """Certificate for the construction behind zeta(n): directly at n for
-    even n >= 6, at the doubled index for odd n, absent for the trivial
-    n in {1, 2, 4}."""
-    if n in (1, 2, 4):
+    """Certificate for the construction behind zeta(n), at the index
+    zeta_basis(n) of its solve; absent where that index lies below the
+    descent's domain (n in {1, 2, 4})."""
+    basis = zeta_basis(n)
+    if basis < DESCENT_MIN_N:
         return None
-    basis = n if n % 2 == 0 else 2 * n
     zeta = construct_zeta(basis, precision)
     return build_certificate(zeta, solve_unity(basis, precision))
 

@@ -42,6 +42,9 @@ from .hpreal import HPReal
 from .solver import RootSet, contract_tol, unity_powers
 from .zeta import Zeta
 
+# the descent and its certificate take even n >= DESCENT_MIN_N only
+DESCENT_MIN_N = 6
+
 # the alpha-test accepts alpha < 2**-_ALPHA_EXP, far below the alpha_0 of
 # Smale's alpha-theorem (see _arc_exclusion_ok)
 _ALPHA_EXP = 6
@@ -110,7 +113,7 @@ def descent_sequence(zeta: Zeta):
     32 bits).  A sequence still in the domain after n steps raises
     StepLimit.
     """
-    if zeta.n < 6 or zeta.n % 2:
+    if zeta.n < DESCENT_MIN_N or zeta.n % 2:
         raise InvalidN(f"descent requires an even n >= 6, got {zeta.n}")
     prec = zeta.precision
     frac, (a, b) = fixed.lift((zeta.a, zeta.b), fixed.frac_bits(prec))
@@ -297,7 +300,7 @@ def build_certificate(zeta: Zeta, rootset: RootSet) -> ZetaCertificate:
     Raises CertificateFailure (carrying the completed certificate) if any
     check fails; descent-level failures (NonDescent, StepLimit) propagate.
     """
-    if zeta.n < 6 or zeta.n % 2:
+    if zeta.n < DESCENT_MIN_N or zeta.n % 2:
         raise InvalidN(f"certificates require an even n >= 6, got {zeta.n}")
     if not rootset.is_unity or rootset.n != zeta.n:
         raise InvalidN("certificate root set must be solve_unity(n) for the same n")

@@ -32,6 +32,14 @@ class InvalidN(DomainError):
     """The index n is outside the operation's domain."""
 
 
+class InvalidM(DomainError, ValueError):
+    """The power m is outside 1 <= m <= n."""
+
+
+class InvalidPrecision(DomainError, ValueError):
+    """The working precision is below hpreal.MIN_PRECISION bits."""
+
+
 class ZeroTarget(DomainError):
     """z^n = c was requested with c = 0."""
 
@@ -50,18 +58,6 @@ class NotARoot(DomainError):
 
 class NoConvergence(NumericalError):
     """Iteration cap reached, or the solution set failed a sanity bound."""
-
-
-class AmbiguousMinimizer(NumericalError):
-    """Two distance-to-1 minimizers are numerically indistinguishable."""
-
-
-class NoUpperRoot(NumericalError):
-    """No root with imaginary part above the residual bound was found."""
-
-
-class SelectionError(NumericalError):
-    """The selected root violates the expected open-range constraints."""
 
 
 class NonDescent(NumericalError):

@@ -14,9 +14,15 @@ from __future__ import annotations
 
 import math
 
-from .errors import DivisionByZero, NegativeSqrt
+from .errors import DivisionByZero, InvalidPrecision, NegativeSqrt
 
 MIN_PRECISION = 32
+
+# from_decimal accepts a nonzero value only if its leading significant
+# digit sits at 10**d with |d| <= DECIMAL_MAX_MAGNITUDE: it builds the exact
+# integer 10**|d|, whose size, and the time to build and round it, grow
+# with |d|
+DECIMAL_MAX_MAGNITUDE = 100000
 
 # ---------------------------------------------------------------------------
 # rounding core
@@ -87,8 +93,7 @@ class HPReal:
     __slots__ = ("sign", "mantissa", "exponent", "precision")
 
     def __init__(self, sign: int, mantissa: int, exponent: int, precision: int):
-        if precision < MIN_PRECISION:
-            raise ValueError(f"precision must be >= {MIN_PRECISION}, got {precision}")
+        self._check_precision(precision)
         if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
         if sign == 0:
@@ -170,7 +175,8 @@ class HPReal:
     @staticmethod
     def _check_precision(precision: int) -> None:
         if precision < MIN_PRECISION:
-            raise ValueError(f"precision must be >= {MIN_PRECISION}, got {precision}")
+            raise InvalidPrecision(
+                f"precision must be >= {MIN_PRECISION}, got {precision}")
 
     # -- predicates and conversions -----------------------------------------
 
@@ -380,7 +386,9 @@ class HPReal:
     @classmethod
     def from_decimal(cls, text: str, precision: int = 128) -> "HPReal":
         """Parse a decimal string (optional fraction and exponent), correctly
-        rounded in a single step."""
+        rounded in a single step.  Malformed text, and a nonzero value whose
+        leading digit lies outside 10**+-DECIMAL_MAX_MAGNITUDE, raise
+        ValueError."""
         cls._check_precision(precision)
         s = text.strip()
         sign = 1
@@ -399,10 +407,14 @@ class HPReal:
             whole, frac = mant_part, ""
         if not (whole + frac).isdigit() or not (whole or frac):
             raise ValueError(f"not a decimal number: {text!r}")
-        digits = _parse_digits(whole + frac)
         scale = exp10 - len(frac)
-        if digits == 0:
+        significant = len((whole + frac).lstrip("0"))
+        if not significant:
             return cls._raw(0, 0, 0, precision)
+        if abs(significant - 1 + scale) > DECIMAL_MAX_MAGNITUDE:
+            raise ValueError(f"decimal magnitude outside 10**+-"
+                             f"{DECIMAL_MAX_MAGNITUDE}: {text[:40]!r}")
+        digits = _parse_digits(whole + frac)
         if scale >= 0:
             value = digits * 10 ** scale
             s_, m, e = round_raw(sign, value, 0, precision)

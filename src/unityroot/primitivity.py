@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import fixed
-from .errors import NotARoot, NotPrime, ZeroTarget
+from .errors import InvalidM, NotARoot, NotPrime, ZeroTarget
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
 from .solver import (RootSet, assemble_rootset, contract_tol, newton_root,
@@ -87,7 +87,7 @@ def multiplicative_order(w: HPComplex, n: int, tol: HPReal | None = None) -> Pri
 def gcd_primitivity(m: int, n: int) -> bool:
     """zeta^m is primitive iff gcd(m, n) = 1."""
     if not (1 <= m <= n):
-        raise ValueError(f"m must satisfy 1 <= m <= n, got m={m}, n={n}")
+        raise InvalidM(f"m must satisfy 1 <= m <= n, got m={m}, n={n}")
     return math.gcd(m, n) == 1
 
 

@@ -32,7 +32,7 @@ and the axis roots next to them, and the documented order is built from
 the representatives (:func:`_unity_layout`), so no stage touches all n
 roots.  This is the package's one table of the n-th roots of unity:
 :func:`unity_powers` reads omega**0..omega**(n - 1) off the documented
-order, and the DFT's twiddle table, ``roots_of`` and odd-n zeta use it.
+order, and the DFT's twiddle table, ``roots_of`` and zeta(n) use it.
 
 ``roots_of`` rotates the principal root c**(1/n) (:func:`newton_root`, the
 seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots, and
@@ -242,10 +242,7 @@ def distinct_exp(n: int, precision: int) -> int:
     `precision` bits: max(precision // 4, n.bit_length() + 1).
 
     As 2**-e < 1/(2n), the floor stays below the spacing 2 sin(pi/n) >= 4/n
-    of the n-th roots of unity, and below the gap
-    2 sin(2 pi/n) - 2 sin(pi/n) = 2 sin(pi/n) (2 cos(pi/n) - 1) > 2.9/n
-    (n >= 6) between the two smallest |w - 1| over the upper roots, which
-    ``zeta.select_zeta`` must tell apart.
+    of the n-th roots of unity.
     """
     return max(precision // 4, n.bit_length() + 1)
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from unityroot import (HPComplex, HPReal, NoConvergence, cli, dft_forward,
                        solve_unity)
 from unityroot.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                            main, parse_args)
+from unityroot.hpreal import DECIMAL_MAX_MAGNITUDE
 from unityroot.solver import MAX_N
 
 
@@ -175,6 +177,27 @@ class TestRootsOfCommand:
         assert HPReal.from_decimal(doc["c"]["re"]) == want
         assert HPReal.from_decimal(doc["roots"][0]["re"]) == want
 
+    def test_huge_exponent_is_rejected_at_once(self, capsys):
+        # the parser built 10**999999999 exactly: about 415 MB
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "roots-of", "--n", "2",
+                            "--c-re", "1e999999999")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"] == "DomainError"
+
+    def test_tiny_magnitude_is_rejected(self, capsys):
+        code, out = run_cli(capsys, "roots-of", "--n", "2",
+                            "--c-re", "0." + "0" * 10 ** 6 + "1")
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"] == "DomainError"
+
+    def test_magnitude_at_the_bound_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "roots-of", "--n", "1",
+                            "--c-re", f"1e{DECIMAL_MAX_MAGNITUDE}")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["c"]["re"]) == DECIMAL_MAX_MAGNITUDE + 1
+
 
 class TestDftCommand:
     def test_transform_matches_library(self, tmp_path, capsys):
@@ -203,6 +226,13 @@ class TestDftCommand:
         path.write_text(json.dumps({"values": [{"re": "1", "im": "0"}]}))
         code, out = run_cli(capsys, "dft", "--n", "2", "--input", str(path))
         assert code == EXIT_DOMAIN
+
+    def test_magnitude_past_the_bound_rejected(self, tmp_path, capsys):
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps({"values": [{"re": "1e-100001", "im": "0"}]}))
+        code, out = run_cli(capsys, "dft", "--input", str(path))
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"] == "DomainError"
 
     def test_missing_file_rejected(self, capsys):
         code, out = run_cli(capsys, "dft", "--input", "/nonexistent.json")

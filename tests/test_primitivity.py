@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, NotARoot, NotPrime,
-                       ZeroTarget, construct_zeta, gcd_primitivity, is_prime,
-                       multiplicative_order, prime_shortcut, roots_of,
-                       solve_binomial, solve_unity)
+from unityroot import (HPComplex, HPReal, InvalidM, InvalidN,
+                       InvalidPrecision, NoConvergence, NotARoot, NotPrime,
+                       UnityRootError, ZeroTarget, construct_zeta,
+                       gcd_primitivity, is_prime, multiplicative_order,
+                       prime_shortcut, roots_of, solve_binomial, solve_unity)
 from unityroot import fixed
 
 
@@ -221,3 +222,16 @@ class TestRootsOf:
         # both sets come out in the solver's documented order
         tol2 = HPReal.pow2(-1000, 1024)
         assert all((z - w).abs2() <= tol2 for z, w in zip(a.roots, b.roots))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: solve_unity(8, 16), InvalidPrecision),
+    (lambda: construct_zeta(6, 16), InvalidPrecision),
+    (lambda: roots_of(HPComplex.from_int(2), 3, 16), InvalidPrecision),
+    (lambda: gcd_primitivity(0, 6), InvalidM),
+], ids=["solve_unity", "construct_zeta", "roots_of", "gcd_primitivity"])
+def test_bad_arguments_raise_package_errors(call, error):
+    # a plain ValueError escaped each public call
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, UnityRootError)

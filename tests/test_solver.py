@@ -698,8 +698,8 @@ class TestDirectUnity:
         assert abs(solver._unity_seed(8) - (1 + 1j) * 0.5 ** 0.5) <= 2.0 ** -52
 
     @pytest.mark.parametrize("seed", [trig_seed(3), trig_seed(-1),
-                                      lambda n: 1 + 0j],
-                             ids=["omega^3", "conjugate", "one"])
+                                      lambda n: 1 + 0j, trig_seed(2)],
+                             ids=["omega^3", "conjugate", "one", "omega^2"])
     def test_wrong_seed_is_no_convergence(self, monkeypatch, seed):
         # Newton from a wrong seed lands on another root omega^j, whose
         # powers leave the screened region; none may come back as a RootSet

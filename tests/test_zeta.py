@@ -3,24 +3,24 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from unityroot import (AmbiguousMinimizer, HPComplex, HPReal, InvalidN,
-                       NoUpperRoot, RootSet, SelectionError, Zeta,
-                       construct_zeta, radius_identity_check, select_zeta,
-                       solve_unity)
+from unityroot import (HPComplex, HPReal, InvalidN, Zeta, construct_zeta,
+                       radius_identity_check, solve_unity)
 from unityroot.oracle import trig_root
 from conftest import exact, fresh
 
 
 def test_trivial_indices_are_exact():
-    z1 = construct_zeta(1)
-    assert (z1.a, z1.b) == (HPReal.one(), HPReal.zero())
-    assert z1.r.is_zero()
-    z2 = construct_zeta(2)
-    assert (z2.a, z2.b) == (-HPReal.one(), HPReal.zero())
-    assert z2.r == HPReal.from_int(2)
-    z4 = construct_zeta(4)
-    assert (z4.a, z4.b) == (HPReal.zero(), HPReal.one())
-    assert z4.r == HPReal.from_int(2).sqrt()
+    for p in (32, 128, 256):
+        one, zero = HPReal.one(p), HPReal.zero(p)
+        z1 = construct_zeta(1, p)
+        assert (z1.a, z1.b) == (one, zero)
+        assert z1.r.is_zero()
+        z2 = construct_zeta(2, p)
+        assert (z2.a, z2.b) == (-one, zero)
+        assert z2.r == HPReal.from_int(2, p)
+        z4 = construct_zeta(4, p)
+        assert (z4.a, z4.b) == (zero, one)
+        assert z4.r == HPReal.from_int(2, p).sqrt()
 
 
 def test_n6_is_half_plus_sqrt3_over_2():
@@ -102,53 +102,6 @@ def test_unit_modulus_invariant():
         assert abs(mod - 1) <= Fraction(1, 2 ** 120)
 
 
-def test_select_rejects_n4():
-    # the only upper root of n=4 is i itself, which has a = 0
-    with pytest.raises(SelectionError):
-        select_zeta(solve_unity(4))
-
-
-def test_select_rejects_odd_or_non_unity():
-    with pytest.raises(InvalidN):
-        select_zeta(solve_unity(5))
-
-
-def test_select_no_upper_root():
-    prec = 128
-    fake = RootSet(
-        n=4, target=HPComplex.one(prec),
-        roots=(HPComplex.one(prec), HPComplex.from_int(-1),
-               HPComplex(HPReal.zero(), -HPReal.one()),
-               HPComplex(HPReal.zero(), -HPReal.one())),
-        residual_bound=HPReal.pow2(-80), precision=prec)
-    with pytest.raises(NoUpperRoot):
-        select_zeta(fake)
-
-
-def test_select_ambiguous_minimizer():
-    prec = 128
-    half = HPReal.from_ratio(1, 2, prec)
-    w1 = HPComplex(half, half)
-    w2 = HPComplex(half + HPReal.pow2(-100, prec), half)
-    fake = RootSet(n=4, target=HPComplex.one(prec), roots=(w1, w2),
-                   residual_bound=HPReal.pow2(-80), precision=prec)
-    with pytest.raises(AmbiguousMinimizer):
-        select_zeta(fake)
-
-
-def test_select_ambiguous_minimizer_in_any_order():
-    prec = 128
-    half = HPReal.from_ratio(1, 2, prec)
-    w1 = HPComplex(half, half)
-    w2 = HPComplex(half + HPReal.pow2(-100, prec), half)
-    far = HPComplex(-half, half)
-    for roots in ((w2, far, w1), (far, w1, w2), (w1, w1)):
-        fake = RootSet(n=4, target=HPComplex.one(prec), roots=roots,
-                       residual_bound=HPReal.pow2(-80), precision=prec)
-        with pytest.raises(AmbiguousMinimizer):
-            select_zeta(fake)
-
-
 def hpreal_ranking(rootset):
     """(w, r) by the rounded HPReal |w - 1|^2 over every root with
     Im w > residual_bound, the first of equal values winning."""
@@ -160,16 +113,18 @@ def hpreal_ranking(rootset):
 
 
 def test_integer_ranking_matches_hpreal_ranking():
+    # the table entry construct_zeta reads is the minimizer a search over
+    # the upper roots finds, bit for bit
     def bits(v):
         return v.sign, v.mantissa, v.exponent
 
     moved = []
-    for n in range(6, 301, 2):
-        rs = solve_unity(n)
-        z = select_zeta(rs)
-        w, r = hpreal_ranking(rs)
-        if [bits(v) for v in (z.a, z.b, z.r)] != [bits(v) for v in (w.re, w.im, r)]:
-            moved.append(n)
+    for p in (32, 128):
+        for n in range(6, 301, 2):
+            z = construct_zeta(n, p)
+            w, r = hpreal_ranking(solve_unity(n, p))
+            if [bits(v) for v in (z.a, z.b, z.r)] != [bits(v) for v in (w.re, w.im, r)]:
+                moved.append((n, p))
     assert not moved
 
 

@@ -9,9 +9,11 @@ number of commands and the SHA-256 over every command's exit code and
 standard output, in order.  Run it on two checkouts to show that a change
 leaves the output byte-identical.  The groups are `verify`, `roots` and
 `zeta --certificate` for every n in 1..150, five `roots-of` targets, four
-`dft` inputs, and `low-precision`: `verify` and `roots` at (n, precision) =
-(1024, 32) and (2048, 32), then `roots --n 32 --precision 33`.  With `--dump`
-it also writes each command's output to a JSON file.
+`dft` inputs, `low-precision`: `verify` and `roots` at (n, precision) =
+(1024, 32) and (2048, 32), then `roots --n 32 --precision 33`, and
+`zeta-precisions`: `zeta` at precisions 32, 53 and 256 for every n in 1..64
+and n = 4095, 4096.  With `--dump` it also writes each command's output to a
+JSON file.
 
 `--compare` reads two dumps and prints, for each group, the number of
 commands whose output changed and the largest change of the numbers under
@@ -45,6 +47,8 @@ ROOTS_OF = [("3", "-8", "0"), ("5", "2", "3"), ("7", "0.5", "-0.25"),
 DFT_NS = (4, 8, 16, 33)
 LOW_PRECISION = [(cmd, n, "32") for n in ("1024", "2048")
                  for cmd in ("verify", "roots")] + [("roots", "32", "33")]
+ZETA_PRECISIONS = [(str(n), precision) for precision in ("32", "53", "256")
+                   for n in [*range(1, 65), 4095, 4096]]
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 KEY = re.compile(r'"([^"]+)":')
@@ -80,6 +84,8 @@ def _groups(tmp: str) -> dict:
                 for i, n in enumerate(DFT_NS)],
         "low-precision": [[cmd, "--n", n, "--precision", precision]
                           for cmd, n, precision in LOW_PRECISION],
+        "zeta-precisions": [["zeta", "--n", n, "--precision", precision]
+                            for n, precision in ZETA_PRECISIONS],
     }
 
 
