@@ -308,12 +308,12 @@ def build_certificate(zeta: Zeta, rootset: RootSet) -> ZetaCertificate:
     tol = contract_tol(prec)
     xs, p = descent_sequence(zeta)
     one = HPReal.one(prec)
-    strict = all(xs[i + 1] < xs[i] for i in range(len(xs) - 1))
+    frac, scaled, pw = _scaled_powers(zeta, xs, zeta.n // 2)
+    strict = all(b < a for a, b in zip(scaled, scaled[1:]))
     endpoint = abs(xs[-1] + one) <= tol
     half = 2 * p == zeta.n
     # strictly decreasing steps from exactly 1 down to -1 tile [-1, 1]
     partition = strict and xs[0] == one and endpoint
-    frac, scaled, pw = _scaled_powers(zeta, xs, zeta.n // 2)
     recon = _reconstruction_ok(p, frac, scaled, pw, rootset, tol)
     exclusion = _arc_exclusion_ok(zeta.n, frac, scaled, pw)
     checks = CertificateChecks(

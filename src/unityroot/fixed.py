@@ -132,6 +132,14 @@ def powers(a: tuple, m: int, frac: int) -> list:
     return out
 
 
+def modulus_bound(a: tuple, frac: int) -> int:
+    """W = max(1, |a|) of the pair a, times 2**64, rounded up."""
+    ar, ai = a
+    w2 = max(-(-(ar * ar + ai * ai) >> (2 * frac - 128)), 1 << 128)
+    w = math.isqrt(w2)
+    return w + (w * w < w2)
+
+
 def power_error(a: tuple, n: int, frac: int) -> int:
     """An upper bound, in units u = 2**-frac, on |power(a, n) - a**n|.
 
@@ -152,18 +160,16 @@ def power_error(a: tuple, n: int, frac: int) -> int:
 
     The premise holds for every n < 2**47 at frac >= 96 (precision >= 32).
     W**(n - 1) is evaluated on integers scaled by 2**64 with every rounding
-    upward, starting from an upper bound of W, so the value returned is at
-    or above the claimed bound.
+    upward, starting from :func:`modulus_bound`, so the value returned is at
+    or above the claimed bound.  It reads a only through that bound, so it
+    is shared by the roots of one set, whose moduli nearly agree: on the
+    unit circle, from 64 bits of precision on, the bound is 2**64 or
+    2**64 + 1.
     """
     if n <= 1:
         return 0
     g = 64
-    ar, ai = a
-    w2 = max(-(-(ar * ar + ai * ai) >> (2 * (frac - g))), 1 << (2 * g))
-    w = math.isqrt(w2)
-    if w * w < w2:
-        w += 1
-    p = w
+    w = p = modulus_bound(a, frac)
     for bit in bin(n - 1)[3:]:
         p = -(-(p * p) >> g)
         if bit == "1":

@@ -19,9 +19,10 @@ from .errors import DivisionByZero, InvalidPrecision, NegativeSqrt
 MIN_PRECISION = 32
 
 # from_decimal accepts a nonzero value only if its leading significant
-# digit sits at 10**d with |d| <= DECIMAL_MAX_MAGNITUDE: it builds the exact
-# integer 10**|d|, whose size, and the time to build and round it, grow
-# with |d|
+# digit sits at 10**d with |d| <= DECIMAL_MAX_MAGNITUDE, and with at most
+# DECIMAL_MAX_MAGNITUDE + precision significant digits (trailing zeros
+# dropped), more than decimal() writes in that range: it builds
+# 10**|d| and the integer of its digits exactly, whose costs grow with both
 DECIMAL_MAX_MAGNITUDE = 100000
 
 # ---------------------------------------------------------------------------
@@ -386,9 +387,9 @@ class HPReal:
     @classmethod
     def from_decimal(cls, text: str, precision: int = 128) -> "HPReal":
         """Parse a decimal string (optional fraction and exponent), correctly
-        rounded in a single step.  Malformed text, and a nonzero value whose
-        leading digit lies outside 10**+-DECIMAL_MAX_MAGNITUDE, raise
-        ValueError."""
+        rounded in a single step.  Malformed text, a nonzero value whose
+        leading digit lies outside 10**+-DECIMAL_MAX_MAGNITUDE, and more than
+        DECIMAL_MAX_MAGNITUDE + precision significant digits raise ValueError."""
         cls._check_precision(precision)
         s = text.strip()
         sign = 1
@@ -407,14 +408,19 @@ class HPReal:
             whole, frac = mant_part, ""
         if not (whole + frac).isdigit() or not (whole or frac):
             raise ValueError(f"not a decimal number: {text!r}")
-        scale = exp10 - len(frac)
-        significant = len((whole + frac).lstrip("0"))
+        # trailing zeros move into the exponent, exactly
+        mant = (whole + frac).lstrip("0")
+        significant = mant.rstrip("0")
+        scale = exp10 - len(frac) + len(mant) - len(significant)
         if not significant:
             return cls._raw(0, 0, 0, precision)
-        if abs(significant - 1 + scale) > DECIMAL_MAX_MAGNITUDE:
+        if abs(len(significant) - 1 + scale) > DECIMAL_MAX_MAGNITUDE:
             raise ValueError(f"decimal magnitude outside 10**+-"
                              f"{DECIMAL_MAX_MAGNITUDE}: {text[:40]!r}")
-        digits = _parse_digits(whole + frac)
+        if len(significant) > DECIMAL_MAX_MAGNITUDE + precision:
+            raise ValueError(f"more than {DECIMAL_MAX_MAGNITUDE + precision} "
+                             f"significant digits: {text[:40]!r}")
+        digits = _parse_digits(significant)
         if scale >= 0:
             value = digits * 10 ** scale
             s_, m, e = round_raw(sign, value, 0, precision)

@@ -1,14 +1,34 @@
 """Trigonometric ground truth for verification only.
 
-cos(2*pi*k/n) + i*sin(2*pi*k/n) is evaluated from scratch: pi by a Machin
-arctangent series over scaled integers, sine and cosine by their Taylor
-series with the argument reduced to a quadrant, everything at 32 guard bits
-above the requested precision.  Alternating series give a rigorous remainder
-bound below 2**-(precision+4).
+cos(2*pi*k/n) + i*sin(2*pi*k/n) is evaluated from scratch on plain integers
+in units u = 2**-F, F = precision + 48: pi by Machin's formula, cosine and
+sine by their Taylor series after k/n is reduced to a quadrant exactly, and
+each component rounded once, at the end.  Every step floors a nonnegative
+value to a multiple of u, an error below u.
 
-None of the construction modules may import this one; it exists so that the
-construction can be checked against the exponential description it avoids.
-The quarantine is structural and enforced by a test that inspects imports.
+Error bound.  (pi) Pi = 16 A_5 - 4 A_239, A_k the alternating sum of
+floor(2**F / ((2j + 1) k**(2j + 1))), j >= 0, up to the first zero term: at
+most F / (2 log2 k) + 1/2 terms, each off by less than u, and an exact tail
+below u, so |Pi u - pi| < 4 (F + 8) u.  (reduction) With q, r = divmod(4k, n),
+2 pi k/n = q pi/2 + alpha, alpha = (pi/2) r/n; x = floor(Pi r / (2n)) u has
+|x - alpha| < (2 (F + 8) + 1) u, as r/(2n) < 1/2, and x**2 < 2.47.
+(series) The term magnitudes of cos x are T_0 = 1 and
+T_j = floor(T_(j-1) x**2 / m) with m = (2j - 1) 2j, those of sin x T_0 = x
+and m = 2j (2j + 1).  Against the exact terms a_j, E_j = |T_j - a_j| <
+E_(j-1) x**2/m + u with E_0 = 0, and x**2/m < 0.21 from j = 2 on, so
+E_j < u/0.79 < 3u/2.  A sum stops at its first zero T_J; from there the
+exact terms alternate and decrease (a zero T_1 of the cosine means
+x**2 < 2u), so the tail is at most a_J <= E_J.  As T_j <= a_j
+< 1.24 * 4**(1-j) for j >= 1, J <= F/2 + 2, and each sum is within
+(3/2)(F/2 + 3) u of the series at x.  Cosine and sine are 1-Lipschitz, so
+before rounding each component is within (2.75 F + 21.5) u < 3 (F + 8) u:
+below 2**-(precision + 4) = 2**44 u for every precision below 2**42.  The
+quadrant points k/n in {0, 1/4, 1/2, 3/4} have r = 0 and come out exact.
+
+None of the construction modules may import this one, and it uses nothing
+of the construction's fixed-point kernel: it exists so that the construction
+can be checked against the exponential description it avoids.  The
+quarantine is structural and enforced by a test that inspects imports.
 """
 
 from __future__ import annotations
@@ -20,59 +40,28 @@ from .hpcomplex import HPComplex
 from .hpreal import HPReal
 from .zeta import construct_zeta
 
-_GUARD_BITS = 32
+_GUARD_BITS = 48
 
 _pi_cache: dict = {}
 
 
 def _atan_inv_scaled(k: int, bits: int) -> int:
-    """floor-ish of atan(1/k) * 2**bits via the alternating arctangent series."""
-    total = 0
-    j = 0
-    kpow = k
-    ksq = k * k
-    scale = 1 << bits
-    while True:
-        term = scale // ((2 * j + 1) * kpow)
-        if term == 0:
-            break
-        total += -term if j & 1 else term
-        kpow *= ksq
-        j += 1
+    """atan(1/k) * 2**bits by its alternating series, each term floored."""
+    total, sign, j, kpow = 0, 1, 1, k
+    while term := (1 << bits) // (j * kpow):
+        total += sign * term
+        sign, j, kpow = -sign, j + 2, kpow * k * k
     return total
 
 
-def _pi(precision: int) -> HPReal:
-    if precision in _pi_cache:
-        return _pi_cache[precision]
-    bits = precision + 16
-    scaled = 16 * _atan_inv_scaled(5, bits) - 4 * _atan_inv_scaled(239, bits)
-    out = HPReal.from_int(scaled, precision).scale2(-bits)
-    _pi_cache[precision] = out
-    return out
-
-
-def _cos_sin(x: HPReal) -> tuple:
-    """Taylor cosine and sine for |x| < 2; remainder below the working ulp."""
-    prec = x.precision
-    one = HPReal.one(prec)
-    cutoff = HPReal.pow2(-(prec + 4), prec)
-    x2 = x * x
-    cos_total, term, j = one, one, 0
-    while True:
-        j += 2
-        term = -(term * x2) / (j * (j - 1))
-        cos_total = cos_total + term
-        if abs(term) < cutoff:
-            break
-    sin_total, term, j = x, x, 1
-    while True:
-        j += 2
-        term = -(term * x2) / (j * (j - 1))
-        sin_total = sin_total + term
-        if abs(term) < cutoff:
-            break
-    return cos_total, sin_total
+def _series(term: int, x2: int, m: int, frac: int) -> int:
+    """The alternating sum of term and its successors, each the floor of the
+    last * x2 / (m (m + 1) 4**frac), m rising by 2: cos and sin (see above)."""
+    total, sign = 0, 1
+    while term:
+        total += sign * term
+        sign, term, m = -sign, (term * x2 >> 2 * frac) // (m * (m + 1)), m + 2
+    return total
 
 
 @dataclass(eq=False)
@@ -93,19 +82,16 @@ def trig_root(n: int, k: int, precision: int = 128) -> OracleRoot:
     k_orig = k
     k %= n
     work = precision + _GUARD_BITS
+    if work not in _pi_cache:
+        _pi_cache[work] = (16 * _atan_inv_scaled(5, work)
+                           - 4 * _atan_inv_scaled(239, work))
     quadrant, rem = divmod(4 * k, n)
-    # alpha = 2*pi * rem/(4n) in [0, pi/2)
-    alpha = _pi(work) * HPReal.from_ratio(rem, 2 * n, work)
-    c, s = _cos_sin(alpha)
-    if quadrant == 0:
-        re, im = c, s
-    elif quadrant == 1:
-        re, im = -s, c
-    elif quadrant == 2:
-        re, im = -c, -s
-    else:
-        re, im = s, -c
-    value = HPComplex(re.with_precision(precision), im.with_precision(precision))
+    # X = x * 2**work, x ~ 2*pi * rem/(4n) in [0, pi/2)
+    x = _pi_cache[work] * rem // (2 * n)
+    c, s = _series(1 << work, x * x, 1, work), _series(x, x * x, 2, work)
+    re, im = ((c, s), (-s, c), (-c, -s), (s, -c))[quadrant]
+    value = HPComplex(HPReal.from_int(re, precision).scale2(-work),
+                      HPReal.from_int(im, precision).scale2(-work))
     return OracleRoot(n=n, k=k_orig, value=value)
 
 

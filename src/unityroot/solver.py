@@ -162,6 +162,8 @@ def _root_scale(c: HPComplex, n: int) -> tuple:
 
 
 def _scale2(z: HPComplex, k: int) -> HPComplex:
+    if not k:
+        return z
     return HPComplex(z.re.scale2(k), z.im.scale2(k))
 
 
@@ -219,21 +221,23 @@ def _residual_bound(zs: list, c: HPComplex, n: int, k: int,
 
     where |P - c'|**2 is an exact integer and the second term is the
     kernel's proven bound on its own power (derived in
-    :func:`fixed.power_error`).  The largest such integer N over the roots
-    gives |z**n - c| <= N * 2**(k n - frac), which is rounded upward once.
+    :func:`fixed.power_error`, once per distinct fixed.modulus_bound).  The
+    largest such integer N over the roots gives
+    |z**n - c| <= N * 2**(k n - frac), which is rounded upward once.
     """
     scaled = [_scale2(c, -k * n)] + [_scale2(z, -k) for z in zs]
     frac, parts = fixed.lift([v for z in scaled for v in (z.re, z.im)],
                              fixed.frac_bits(precision))
     cr, ci = parts[:2]
-    worst = 0
+    worst, errors = 0, {}
     for y in zip(parts[2::2], parts[3::2]):
         pr, pi = fixed.power(y, n, frac)
         norm = (pr - cr) ** 2 + (pi - ci) ** 2
         r = math.isqrt(norm)
-        r += (r * r < norm) + fixed.power_error(y, n, frac)
-        if r > worst:
-            worst = r
+        w = fixed.modulus_bound(y, frac)
+        if w not in errors:
+            errors[w] = fixed.power_error(y, n, frac)
+        worst = max(worst, r + (r * r < norm) + errors[w])
     return fixed.to_hpreal_up(worst, frac - k * n, precision)
 
 
@@ -394,12 +398,14 @@ def _unity_layout(reps: list, n: int, precision: int) -> list:
         if not (z.im > half and (n % 2 or z.re > half)):
             raise NoConvergence(
                 "a root and its mirror image collapsed below the distinctness floor")
+    flips = [(-z.re, -z.im) for z in reps]
+    conj = [HPComplex(z.re, y) for z, (_, y) in zip(reps, flips)]
     if n % 2:
-        return reps + [one] + [z.conj() for z in reps]
+        return reps + [one] + conj
+    mirror = [HPComplex(x, z.im) for z, (x, _) in zip(reps, flips)]
     mid = axis[1:]
-    return (reps + mid + [-z.conj() for z in reversed(reps)] + [one, -one]
-            + [z.conj() for z in reps] + [-z for z in mid]
-            + [-z for z in reversed(reps)])
+    return (reps + mid + mirror[::-1] + [one, -one] + conj + [-z for z in mid]
+            + [HPComplex(x, y) for x, y in reversed(flips)])
 
 
 def solve_unity(n: int, precision: int = 128) -> RootSet:
@@ -446,13 +452,14 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     one = HPComplex.one(precision)
     out = _bounded_rootset(_unity_layout(reps, n, precision), one, n,
                            precision, reps)
-    for z in reps:
-        frac, (x, y) = fixed.lift((z.re, z.im), 0)
-        gap = abs(x * x + y * y - (1 << 2 * frac))  # | |z|^2 - 1 | 4**frac
-        # exact: the precision holds every bit of gap
-        off = fixed.to_hpreal(gap, 2 * frac, max(gap.bit_length(), 32))
-        if off > out.residual_bound:
-            raise NoConvergence("root drifted off the unit circle")
+    frac, parts = fixed.lift([v for z in reps for v in (z.re, z.im)], 0)
+    gap = max((abs(x * x + y * y - (1 << 2 * frac))
+               for x, y in zip(parts[::2], parts[1::2])), default=0)
+    # | |z|^2 - 1 | = gap 2**(-2 frac) against bound = mantissa 2**exponent
+    bound = out.residual_bound
+    shift = bound.exponent + 2 * frac
+    if gap << max(-shift, 0) > bound.mantissa << max(shift, 0):
+        raise NoConvergence("root drifted off the unit circle")
     _unity_cache[(n, precision)] = out
     return out
 

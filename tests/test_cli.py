@@ -227,6 +227,14 @@ class TestDftCommand:
         code, out = run_cli(capsys, "dft", "--n", "2", "--input", str(path))
         assert code == EXIT_DOMAIN
 
+    def test_digit_count_past_the_bound_rejected(self, tmp_path, capsys):
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps({"values": [{"re": "1." + "1" * 10 ** 6,
+                                                "im": "0"}]}))
+        code, out = run_cli(capsys, "dft", "--input", str(path))
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"] == "DomainError"
+
     def test_magnitude_past_the_bound_rejected(self, tmp_path, capsys):
         path = tmp_path / "vec.json"
         path.write_text(json.dumps({"values": [{"re": "1e-100001", "im": "0"}]}))

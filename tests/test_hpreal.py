@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unityroot import DivisionByZero, HPReal, NegativeSqrt
+from unityroot.hpreal import DECIMAL_MAX_MAGNITUDE
 from conftest import exact, sample_reals
 
 
@@ -245,6 +247,39 @@ class TestDecimalSerialization:
         assert x.decimal() == want
         assert HPReal.from_decimal("0." + digits, 256) == HPReal.from_ratio(
             value, 10 ** 10000, 256)
+
+    def test_round_trip_at_the_magnitude_extremes(self):
+        # leading digits at 10**+-DECIMAL_MAX_MAGNITUDE: the integer string
+        # at the top has DECIMAL_MAX_MAGNITUDE + 1 significant digits, the
+        # most decimal() writes inside the bound
+        for prec in (32, 1000):
+            for text in (f"9.99e{DECIMAL_MAX_MAGNITUDE}",
+                         f"-1.2345678901234567890123e{DECIMAL_MAX_MAGNITUDE}",
+                         f"1.01e-{DECIMAL_MAX_MAGNITUDE}",
+                         f"-3.3e-{DECIMAL_MAX_MAGNITUDE}"):
+                x = HPReal.from_decimal(text, prec)
+                back = HPReal.from_decimal(x.decimal(), prec)
+                assert (back.sign, back.mantissa, back.exponent) == (
+                    x.sign, x.mantissa, x.exponent), (prec, text)
+
+    def test_digit_count_is_bounded(self):
+        # a million digits took seconds and grew faster than linearly; the
+        # fraction's trailing zeros are dropped exactly, then more than
+        # DECIMAL_MAX_MAGNITUDE + precision significant digits are refused
+        start = time.perf_counter()
+        assert HPReal.from_decimal("1." + "0" * 10 ** 6) == 1
+        # a whole part's trailing zeros are not significant either
+        assert HPReal.from_decimal("1" + "0" * 200000 + "e-200000") == 1
+        assert HPReal.from_decimal("25" + "0" * 200000 + ".000e-200002") == (
+            HPReal.from_ratio(1, 4))
+        with pytest.raises(ValueError, match="significant digits"):
+            HPReal.from_decimal("1." + "1" * 10 ** 6)
+        assert time.perf_counter() - start < 1.0
+        most = DECIMAL_MAX_MAGNITUDE + 32
+        assert HPReal.from_decimal("0." + "3" * most + "000", 32) == (
+            HPReal.from_ratio(1, 3, 32))
+        with pytest.raises(ValueError, match="significant digits"):
+            HPReal.from_decimal("0." + "3" * (most + 1), 32)
 
     def test_parse_exponent_forms(self):
         assert HPReal.from_decimal("1e3") == 1000

@@ -2,6 +2,7 @@ import math
 import pathlib
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import unityroot
@@ -59,6 +60,36 @@ class TestTrigValues:
     def test_invalid_n(self):
         with pytest.raises(InvalidN):
             trig_root(0, 1)
+
+
+class TestAccuracy:
+    def test_within_one_unit_of_mpmath(self):
+        # every component within 2**-precision of the exact value, and the
+        # quadrant points k/n in {0, 1/4, 1/2, 3/4} exact
+        def mp(x):
+            return mpmath.mpf((x.sign * x.mantissa, x.exponent))
+
+        off = []
+        for precision in (32, 53, 128, 256):
+            with mpmath.workprec(precision + 100):
+                for n in [*range(1, 65), 298, 4096, 32767]:
+                    ks = range(-1, n + 1) if n <= 64 else (
+                        1, 2, 3, n // 4, n // 3, n // 2, 3 * n // 4, n - 1)
+                    for k in ks:
+                        v = trig_root(n, k, precision).value
+                        angle = 2 * mpmath.pi * k / n
+                        err = max(abs(mp(v.re) - mpmath.cos(angle)),
+                                  abs(mp(v.im) - mpmath.sin(angle)))
+                        if err > mpmath.ldexp(1, -precision):
+                            off.append((precision, n, k, float(err)))
+            for n in (4, 8, 12, 4096):
+                quarters = [(0, 1, 0), (n // 4, 0, 1), (n // 2, -1, 0),
+                            (3 * n // 4, 0, -1)]
+                for k, re, im in quarters:
+                    v = trig_root(n, k, precision).value
+                    if (v.re, v.im) != (re, im):
+                        off.append((precision, n, k, "not exact"))
+        assert not off
 
 
 class TestSelfConsistency:

@@ -14,7 +14,7 @@ from unityroot.oracle import trig_root, zeta_matches_trig
 from unityroot.solver import (_csqrt, _float_stage, _sort_roots, _unity_layout,
                               MAX_N, assemble_rootset, contract_tol,
                               distinct_exp, newton_root, unity_powers)
-from conftest import exact, fresh
+from conftest import clear_caches, exact, fresh
 
 # the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
 # N itself for even N, 2N for odd N
@@ -613,8 +613,13 @@ class TestSymmetricUnity:
                 _unity_layout(wrong, 12, 128)
 
     def test_one_refinement_and_one_bound_per_representative(self, monkeypatch):
-        refines, steps, bounds = [], [], []
-        refine, step, error = fixed.newton, fixed.newton_step, fixed.power_error
+        # the residual bound runs on the representatives, not on all n roots:
+        # one ladder fixed.power(y, n) each, and fixed.power_error once per
+        # distinct fixed.modulus_bound, which on the unit circle takes at
+        # most two values (2**64, 2**64 + 1) from 64 bits of precision on
+        refines, steps, ladders, bounds = [], [], [], []
+        refine, step = fixed.newton, fixed.newton_step
+        ladder, error = fixed.power, fixed.power_error
 
         def counted_refine(*args):
             refines.append(args[2])
@@ -624,27 +629,63 @@ class TestSymmetricUnity:
             steps.append(args[2])
             return step(*args)
 
+        def counted_ladder(*args):
+            ladders.append(args[1])
+            return ladder(*args)
+
         def counted_error(*args):
             bounds.append(args[1])
             return error(*args)
 
         monkeypatch.setattr(fixed, "newton", counted_refine)
         monkeypatch.setattr(fixed, "newton_step", counted_step)
+        monkeypatch.setattr(fixed, "power", counted_ladder)
         monkeypatch.setattr(fixed, "power_error", counted_error)
         over = []
         for n, precision in [(n, 128) for n in (1, 2, 3, 4, 6, 8, 10, 12, 75,
                                                 100, 148, 256, 298, 1024)] + [
-                (1024, 32), (4095, 128)]:
-            refines.clear()
-            steps.clear()
-            bounds.clear()
+                (1024, 32), (1024, 64), (4095, 128)]:
+            for counts in (refines, steps, ladders, bounds):
+                counts.clear()
             fresh(solve_unity, n, precision)
             reps = representatives(n)
+            errors = min(reps, 2) if precision >= 64 else reps
             # Newton runs on omega alone: a few steps from the binary64 seed
             if (refines != [n] * min(reps, 1) or len(steps) > 3 * len(refines)
-                    or len(bounds) != reps):
-                over.append((n, precision, refines, len(steps), len(bounds)))
+                    or ladders.count(n) != reps
+                    or not min(reps, 1) <= len(bounds) <= errors):
+                over.append((n, precision, list(refines), len(steps),
+                             ladders.count(n), len(bounds)))
         assert not over
+
+    def test_root_off_the_unit_circle_raises(self, monkeypatch):
+        # |z**n - 1| >= | |z|**2 - 1 | for n >= 2, so a true residual bound
+        # keeps this check silent; it guards the bound.  One representative
+        # moved outward by about 2**-80 raises it against a bound held below
+        # 2 * 2**-80, and passes against the bound of the moved set itself
+        n, precision = 12, 128
+        powers = fixed.powers
+
+        def off_circle(a, m, frac):
+            out = powers(a, m, frac)
+            x, y = out[2]
+            out[2] = x + (x >> 80), y + (y >> 80)
+            return out
+
+        monkeypatch.setattr(fixed, "powers", off_circle)
+        try:
+            moved = fresh(solve_unity, n, precision)
+            assert HPReal.pow2(-80) < moved.residual_bound < HPReal.pow2(-64)
+            for held, raises in ((-100, True), (-82, True), (-78, False)):
+                monkeypatch.setattr(solver, "_residual_bound",
+                                    lambda *args, e=held: HPReal.pow2(e, precision))
+                if raises:
+                    with pytest.raises(NoConvergence, match="off the unit circle"):
+                        fresh(solve_unity, n, precision)
+                else:
+                    fresh(solve_unity, n, precision)
+        finally:
+            clear_caches()  # no moved set may outlive the test in the caches
 
 
 def trig_seed(k):
