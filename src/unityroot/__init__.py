@@ -22,8 +22,7 @@ from .hpreal import HPReal
 from .oracle import OracleRoot, trig_root, zeta_matches_trig
 from .primitivity import (PrimitivityReport, gcd_primitivity, is_prime,
                           multiplicative_order, prime_shortcut, roots_of)
-from .solver import (RootSet, cofactor_eval, simple_zero_check,
-                     solve_binomial, solve_unity)
+from .solver import RootSet, solve_binomial, solve_unity
 from .zeta import Zeta, construct_zeta, radius_identity_check
 
 __version__ = "0.1.0"
@@ -36,9 +35,8 @@ __all__ = [
     "PrimitivityReport", "RootSet", "StepLimit",
     "TwiddleTable", "UnityRootError", "Zeta", "ZetaCertificate",
     "ZeroTarget", "advance_re", "advance_re_derivative", "build_certificate",
-    "cofactor_eval", "construct_zeta", "descent_sequence", "dft_forward",
-    "dft_inverse", "gcd_primitivity", "is_prime", "multiplicative_order",
-    "prime_shortcut", "radius_identity_check", "retreat_re", "roots_of",
-    "simple_zero_check", "solve_binomial", "solve_unity",
-    "trig_root", "twiddle_table", "zeta_matches_trig",
+    "construct_zeta", "descent_sequence", "dft_forward", "dft_inverse",
+    "gcd_primitivity", "is_prime", "multiplicative_order", "prime_shortcut",
+    "radius_identity_check", "retreat_re", "roots_of", "solve_binomial",
+    "solve_unity", "trig_root", "twiddle_table", "zeta_matches_trig",
 ]

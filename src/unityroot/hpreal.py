@@ -19,10 +19,11 @@ from .errors import DivisionByZero, InvalidPrecision, NegativeSqrt
 MIN_PRECISION = 32
 
 # from_decimal accepts a nonzero value only if its leading significant
-# digit sits at 10**d with |d| <= DECIMAL_MAX_MAGNITUDE, and with at most
-# DECIMAL_MAX_MAGNITUDE + precision significant digits (trailing zeros
-# dropped), more than decimal() writes in that range: it builds
-# 10**|d| and the integer of its digits exactly, whose costs grow with both
+# digit sits at 10**d with |d| <= DECIMAL_MAX_MAGNITUDE (or it rounds to
+# what such a value rounds to), and with at most DECIMAL_MAX_MAGNITUDE +
+# precision significant digits (trailing zeros dropped), more than decimal()
+# writes in that range: it builds 10**|d| and the integer of its digits
+# exactly, whose costs grow with both
 DECIMAL_MAX_MAGNITUDE = 100000
 
 # ---------------------------------------------------------------------------
@@ -389,7 +390,15 @@ class HPReal:
         """Parse a decimal string (optional fraction and exponent), correctly
         rounded in a single step.  Malformed text, a nonzero value whose
         leading digit lies outside 10**+-DECIMAL_MAX_MAGNITUDE, and more than
-        DECIMAL_MAX_MAGNITUDE + precision significant digits raise ValueError."""
+        DECIMAL_MAX_MAGNITUDE + precision significant digits raise ValueError.
+
+        The bound holds for the rounded value: a leading digit one decade
+        past it is accepted if the value rounds to the rounding of a value
+        inside, that is to no less than 10**-DECIMAL_MAX_MAGNITUDE rounded,
+        or no more than 10**(DECIMAL_MAX_MAGNITUDE + 1) rounded (rounding is
+        monotone).  The decimal() string of a result may lead one decade
+        out, as 1e-100000 rounds below 10**-100000 at 32 bits, and it
+        parses back."""
         cls._check_precision(precision)
         s = text.strip()
         sign = 1
@@ -414,13 +423,26 @@ class HPReal:
         scale = exp10 - len(frac) + len(mant) - len(significant)
         if not significant:
             return cls._raw(0, 0, 0, precision)
-        if abs(len(significant) - 1 + scale) > DECIMAL_MAX_MAGNITUDE:
-            raise ValueError(f"decimal magnitude outside 10**+-"
-                             f"{DECIMAL_MAX_MAGNITUDE}: {text[:40]!r}")
-        if len(significant) > DECIMAL_MAX_MAGNITUDE + precision:
-            raise ValueError(f"more than {DECIMAL_MAX_MAGNITUDE + precision} "
-                             f"significant digits: {text[:40]!r}")
-        digits = _parse_digits(significant)
+        lead = len(significant) - 1 + scale
+        if abs(lead) <= DECIMAL_MAX_MAGNITUDE + 1:
+            if len(significant) > DECIMAL_MAX_MAGNITUDE + precision:
+                raise ValueError(f"more than {DECIMAL_MAX_MAGNITUDE + precision} "
+                                 f"significant digits: {text[:40]!r}")
+            value = cls._round_decimal(sign, _parse_digits(significant), scale,
+                                       precision)
+            if abs(lead) <= DECIMAL_MAX_MAGNITUDE:
+                return value
+            edge = cls._round_decimal(1, 1, lead if lead > 0 else lead + 1,
+                                      precision)
+            if (abs(value) <= edge) if lead > 0 else (abs(value) >= edge):
+                return value
+        raise ValueError(f"decimal magnitude outside 10**+-"
+                         f"{DECIMAL_MAX_MAGNITUDE}: {text[:40]!r}")
+
+    @classmethod
+    def _round_decimal(cls, sign: int, digits: int, scale: int,
+                       precision: int) -> "HPReal":
+        """sign * digits * 10**scale, rounded once."""
         if scale >= 0:
             value = digits * 10 ** scale
             s_, m, e = round_raw(sign, value, 0, precision)

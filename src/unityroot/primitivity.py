@@ -1,4 +1,5 @@
-"""Order computation, primitivity criteria, and n-th roots of arbitrary c.
+"""Order computation, primitivity criteria, and n-th roots of arbitrary c
+(``roots_of``, the solver's ``solve_binomial`` under the name it has here).
 
 "w^d = 1" is always read as |w^d - 1| <= tol with an explicit tolerance;
 distinct roots of unity at the scales handled here are separated by at least
@@ -11,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 from . import fixed
-from .errors import InvalidM, NotARoot, NotPrime, ZeroTarget
+from .errors import InvalidM, NotARoot, NotPrime
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
-from .solver import (RootSet, assemble_rootset, contract_tol, newton_root,
-                     solve_unity)
+from .solver import contract_tol, solve_binomial
 
 
 def _divisors(n: int) -> list:
@@ -99,18 +99,6 @@ def prime_shortcut(w: HPComplex, n: int, tol: HPReal | None = None) -> bool:
     return not within(1)
 
 
-def roots_of(c: HPComplex, n: int, precision: int = 128) -> RootSet:
-    """All n roots of z**n = c as {w * z : w**n = 1} for one root z.
-
-    Cross-validates the solver: the construction here anchors on the
-    principal root z = c**(1/n) from :func:`unityroot.solver.newton_root`
-    (which also checks n) and rotates it by the n roots of unity of
-    solve_unity(n), never running Aberth's iteration; the root set is
-    checked and bounded as the solver's is.
-    """
-    if c.is_zero():
-        raise ZeroTarget("z**n = 0 has only the trivial root")
-    c = HPComplex(c.re.with_precision(precision), c.im.with_precision(precision))
-    z0 = newton_root(c, n, precision)
-    roots = [z0 * w for w in solve_unity(n, precision).roots]
-    return assemble_rootset(roots, c, n, precision)
+# all n roots of z**n = c for c != 0: the solver's rotation, one function
+# under both names
+roots_of = solve_binomial

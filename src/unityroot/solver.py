@@ -5,19 +5,7 @@ then :func:`unityroot.fixed.newton` on integer pairs with 64 guard bits,
 each component rounded once.  The seeds of omega and of the principal root
 come from one routine (:func:`_pow_frac`): base**(g/n) from the binary
 digits of g/n, each digit selecting a repeated principal square root
-(:func:`_csqrt`, the one cancellation-free complex square root, which also
-lifts Aberth's roots to even n).
-
-For a general c (:func:`solve_binomial`), after an exact power-of-two
-reduction of c, the float stage finds the roots in hardware binary64.
-Write n = 2**j m with m odd: Aberth's simultaneous method runs Jacobi
-sweeps on z**m = c only (:mod:`unityroot.aberth`, the package's one numpy
-user, imported on the first such solve).  The roots of z**(2d) = c are
-+-sqrt(y) for the roots y of z**d = c, so j square-root lifting steps give
-all n roots.  The settled estimates seed Newton, one root at a time.  The
-residual bound of every root set is a proven upper bound evaluated in the
-same kernel.  Every stage is a pure function of (c, n, precision), so
-repeated calls are bit-identical.
+(:func:`_csqrt`, the one cancellation-free complex square root).
 
 z**n = 1 is solved without a simultaneous solve (:func:`solve_unity`).
 omega = e^(2 pi i/n) = (-1)**(2/n) is seeded in binary64
@@ -32,12 +20,15 @@ and the axis roots next to them, and the documented order is built from
 the representatives (:func:`_unity_layout`), so no stage touches all n
 roots.  This is the package's one table of the n-th roots of unity:
 :func:`unity_powers` reads omega**0..omega**(n - 1) off the documented
-order, and the DFT's twiddle table, ``roots_of`` and zeta(n) use it.
+order, and the DFT's twiddle table and zeta(n) use it.
 
-``roots_of`` rotates the principal root c**(1/n) (:func:`newton_root`, the
-seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots, and
-:func:`assemble_rootset` checks, orders and bounds every other root set,
-solved or rotated, relative to the roots' power-of-two scale.
+For a general c != 0, :func:`solve_binomial` (also exported as
+``roots_of``) rotates the principal root c**(1/n) (:func:`newton_root`,
+the seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots, and
+:func:`assemble_rootset` checks, orders and bounds the set relative to the
+roots' power-of-two scale.  The residual bound of every root set is a
+proven upper bound evaluated in the same kernel.  Every stage is a pure
+function of (c, n, precision), so repeated calls are bit-identical.
 
 Every solve accepts 1 <= n <= MAX_N (:func:`_check_index`).  Only field
 operations and square roots are used in every stage.
@@ -53,10 +44,11 @@ from .errors import InvalidN, NoConvergence, ZeroTarget
 from .hpcomplex import HPComplex, lift_complex
 from .hpreal import HPReal
 
-# the largest n any solve accepts.  The slowest path at the limit is
-# solve_binomial at odd n, Aberth at O(n**2) per sweep: cold, on a 2-CPU
-# shared x86-64 host, 73 s and 292 MB peak RSS at n = 32767 (20 s, 166 MB at
-# 16383).  Odd-n zeta solves at 2n, so `verify --n 16383` stays legal.
+# the largest n any solve accepts.  Every solve is close to linear in n
+# (cold, solve_binomial(2, 16383) takes about a second), so cost does not
+# set it; it stays until the certificate holds past it at every precision:
+# at 32 bits, `verify` fails its arc exclusion from about n = 6100 already.
+# Odd-n zeta solves at 2n, so `verify --n 16383` stays legal.
 MAX_N = 32768
 
 _unity_cache: dict = {}
@@ -91,7 +83,7 @@ class RootSet:
 
 
 # ---------------------------------------------------------------------------
-# float stage
+# binary64 seeds
 # ---------------------------------------------------------------------------
 
 
@@ -99,8 +91,8 @@ def _csqrt(y: complex) -> complex:
     """The principal square root of a machine complex, without cancellation:
     the larger component is t = sqrt((|y| + |Re y|)/2), the other
     Im y / (2t).  The sum is formed at 1/8 scale and t as 2 sqrt(sum), both
-    exact power-of-two rescalings, so |y| cannot overflow at the top of the
-    reduced target's range."""
+    exact power-of-two rescalings, so no intermediate overflows at any
+    finite y."""
     x, v = y.real, y.imag
     t = 2.0 * math.sqrt(abs(0.125 * y) + 0.125 * abs(x))
     other = v / (2.0 * t)
@@ -121,25 +113,6 @@ def _pow_frac(base: complex, g: int, n: int) -> complex:
         g *= 2
         root = _csqrt(root)
     return out
-
-
-def _float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
-    """Binary64 roots of z**n = c as a list; returns (roots, sweeps_used).
-
-    Write n = 2**j m with m odd.  Aberth runs on z**m = c
-    (:func:`unityroot.aberth.roots`, imported here on first use, so only
-    this stage loads numpy), and each of j lifting steps turns the roots y
-    of z**(n/2**i) = c into the roots +-sqrt(y) of z**(2n/2**i) = c, so the
-    sweeps see m roots only.
-    """
-    from . import aberth
-
-    j = (n & -n).bit_length() - 1
-    z, used = aberth.roots(n >> j, c, sweep_budget)
-    for _ in range(j):
-        r = [_csqrt(y) for y in z]
-        z = r + [-y for y in r]
-    return z, used
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +144,6 @@ def _pair(z: HPComplex, frac: int) -> tuple:
     return fixed.to_fixed(z.re, frac), fixed.to_fixed(z.im, frac)
 
 
-def _newton(seeds: list, c: HPComplex, n: int, k: int, precision: int) -> list:
-    """The roots of z**n = c that :func:`unityroot.fixed.newton` reaches
-    from machine-complex seeds of the roots scaled by 2**-k.
-
-    Newton runs on integer pairs at frac = precision + 64 fraction bits (the
-    seeds enter exactly, c / 2**(k n) truncated below 2**-frac), once per
-    seed, and each component is rounded once at the end.
-    """
-    frac = fixed.frac_bits(precision)
-    cs = _pair(c, frac - k * n)
-    out = []
-    for s in seeds:
-        yr, yi = fixed.newton(_pair(lift_complex(s, 53), frac), cs, n, frac)
-        out.append(HPComplex(fixed.to_hpreal(yr, frac - k, precision),
-                             fixed.to_hpreal(yi, frac - k, precision)))
-    return out
-
-
 def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     """The principal n-th root of c != 0 by the solver's Newton loop.
 
@@ -196,14 +151,21 @@ def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     principal root is t**(1/n) 2**(s/n) = 2**k t**(1/n) 2**(g/n),
     g = s - k n in [0, n).  Both powers come from :func:`_pow_frac`, square
     roots and products in binary64, and their product seeds Newton on the
-    reduced target c / 2**(k n) within about 2**-45 of its root.
+    reduced target c / 2**(k n) within about 2**-45 of its root.  Newton
+    runs on integer pairs at frac = precision + 64 fraction bits (the seed
+    enters exactly, c / 2**(k n) truncated below 2**-frac), and each
+    component of the root is rounded once at the end.
     """
     _check_index(n, precision)
     top, k = _root_scale(c, n)
     s = top // 2
     t = _scale2(c, -s).to_complex()
     seed = _pow_frac(t, 1, n) * _pow_frac(2 + 0j, s - k * n, n)
-    return _newton([seed], c, n, k, precision)[0]
+    frac = fixed.frac_bits(precision)
+    yr, yi = fixed.newton(_pair(lift_complex(seed, 53), frac),
+                          _pair(c, frac - k * n), n, frac)
+    return HPComplex(fixed.to_hpreal(yr, frac - k, precision),
+                     fixed.to_hpreal(yi, frac - k, precision))
 
 
 def _residual_bound(zs: list, c: HPComplex, n: int, k: int,
@@ -340,19 +302,6 @@ def _check_index(n: int, precision: int) -> None:
     HPReal._check_precision(precision)
 
 
-def _solve(c: HPComplex, n: int, precision: int) -> RootSet:
-    _check_index(n, precision)
-    # reduce by an exact power of two so the float stage sees a tame target:
-    # z = 2**k * y  with  y**n = c / 2**(k*n)
-    _, k = _root_scale(c, n)
-    cf = _scale2(c, -k * n).to_complex()
-    if not (math.isfinite(cf.real) and math.isfinite(cf.imag)):
-        raise NoConvergence("target magnitude outside the supported range")
-    floats, _ = _float_stage(n, cf, 50 + 10 * n)
-    zs = _newton(floats, c, n, k, precision)
-    return assemble_rootset(zs, c, n, precision)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -431,11 +380,17 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     over every root although it is evaluated on the representatives only:
     |conj(z)**n - 1| = |conj(z**n - 1)| = |z**n - 1|, for even n
     |(-z)**n - 1| = |z**n - 1|, and an exact axis root has residual 0.
-    On the unit circle every root additionally satisfies
-    | |z| - 1 | <= residual_bound, and |z| is invariant under the sign
-    flips, so this too is checked on the representatives.  It is decided
-    exactly: |z|**2 of a dyadic z is an exact integer multiple of
-    2**(-2 frac), and | |z|**2 - 1 | <= bound implies | |z| - 1 | <= bound.
+
+    The bound also keeps every root near the unit circle, so no separate
+    check is needed.  For n >= 2 and r = |z|,
+
+        |z**n - 1| >= | r**n - 1 | >= | r**2 - 1 | = | r - 1 | (r + 1)
+                   >= | r - 1 |,
+
+    the first by the reverse triangle inequality, the second as r**n lies
+    on the same side of 1 as r**2 and at least as far from it.  So every
+    representative, and with it every flip, has | |z| - 1 | <= | |z|**2 - 1 |
+    <= residual_bound.  At n = 1 the set is {1}.
     """
     if (n, precision) in _unity_cache:
         return _unity_cache[(n, precision)]
@@ -452,14 +407,6 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     one = HPComplex.one(precision)
     out = _bounded_rootset(_unity_layout(reps, n, precision), one, n,
                            precision, reps)
-    frac, parts = fixed.lift([v for z in reps for v in (z.re, z.im)], 0)
-    gap = max((abs(x * x + y * y - (1 << 2 * frac))
-               for x, y in zip(parts[::2], parts[1::2])), default=0)
-    # | |z|^2 - 1 | = gap 2**(-2 frac) against bound = mantissa 2**exponent
-    bound = out.residual_bound
-    shift = bound.exponent + 2 * frac
-    if gap << max(-shift, 0) > bound.mantissa << max(shift, 0):
-        raise NoConvergence("root drifted off the unit circle")
     _unity_cache[(n, precision)] = out
     return out
 
@@ -481,37 +428,16 @@ def unity_powers(rootset: RootSet) -> tuple:
 
 
 def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
-    """All n solutions of z**n = c for c != 0."""
+    """All n solutions of z**n = c for c != 0, as {w z : w**n = 1}.
+
+    c is brought to `precision`, z = c**(1/n) is the principal root from
+    :func:`newton_root` (which also checks n), and it is rotated by the n
+    roots of solve_unity(n), one rounded product each; the set is checked,
+    ordered and bounded by :func:`assemble_rootset`.
+    """
     if c.is_zero():
         raise ZeroTarget("z**n = 0 has only the trivial root")
-    return _solve(c, n, precision)
-
-
-def cofactor_eval(z: HPComplex, w: HPComplex, n: int) -> HPComplex:
-    """The cofactor Q(z) = (z**n - w**n)/(z - w) = sum z^(n-1-j) w^j,
-    accumulated Horner-style."""
-    prec = max(z.precision, w.precision)
-    acc = HPComplex.one(prec)
-    wp = HPComplex.one(prec)
-    for _ in range(n - 1):
-        wp = wp * w
-        acc = acc * z + wp
-    return acc
-
-
-def simple_zero_check(rootset: RootSet) -> bool:
-    """True iff every root of the unity set is a simple zero of z**n - 1.
-
-    A duplicated root is flagged by the pairwise-distance floor before the
-    cofactor magnitudes |Q(w)| ~ n are consulted.
-    """
-    if not rootset.is_unity:
-        raise InvalidN("simple_zero_check expects a unity root set")
-    n, prec = rootset.n, rootset.precision
-    if _collapsed_pair(rootset.roots, n, prec) is not None:
-        return False
-    floor = HPReal.from_ratio(n, 2, prec)
-    for w in rootset.roots:
-        if abs(cofactor_eval(w, w, n)) < floor:
-            return False
-    return True
+    c = HPComplex(c.re.with_precision(precision), c.im.with_precision(precision))
+    z0 = newton_root(c, n, precision)
+    roots = [z0 * w for w in solve_unity(n, precision).roots]
+    return assemble_rootset(roots, c, n, precision)

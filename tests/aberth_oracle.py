@@ -1,16 +1,24 @@
-"""Aberth's simultaneous method in binary64, the float stage of
-``solve_binomial``.
+"""An independent solver for z**n = c, kept on the test side as an oracle.
 
-Aberth 1973; Bini 1996, the MPSolve design.  The sweeps run on z**m = c,
-m odd, from the rotation seeds u, u^2, ..., u^m, u = g/|g| with
-g = 0.4 + 0.9i: unit-circle points at irrational angles, which break the
-symmetry that stalls exact-circle seeds on z**m - 1.  The repulsion sums
-are formed in blocks of at most _BLOCK rows, so the stage needs
-O(_BLOCK m) memory.
+The package solves z**n = c by one rotation: the principal root c**(1/n)
+times the n-th roots of unity of ``solve_unity``.  This module finds all n
+roots another way, so the cross-checks have something other than the
+rotation to compare with.  After an exact power-of-two reduction of c, the
+float stage finds the roots in hardware binary64: write n = 2**j m with m
+odd, Aberth's simultaneous method (Aberth 1973; Bini 1996, the MPSolve
+design) runs Jacobi sweeps on z**m = c only, and the roots of z**(2d) = c
+are +-sqrt(y) for the roots y of z**d = c, so j square-root lifting steps
+give all n roots.  The settled estimates seed the package's fixed-point
+Newton loop, one root at a time, and the package's ``assemble_rootset``
+checks, orders and bounds the set.  Every stage is a pure function of
+(c, n, precision), so repeated calls are bit-identical.
 
-This is the package's only numpy user: the solver imports it on the first
-``solve_binomial`` call, so the unity path, the certificate and the CLI
-never load numpy.
+The sweeps run on z**m = c from the rotation seeds u, u^2, ..., u^m,
+u = g/|g| with g = 0.4 + 0.9i: unit-circle points at irrational angles,
+which break the symmetry that stalls exact-circle seeds on z**m - 1.  The
+repulsion sums are formed in blocks of at most _BLOCK rows, so the stage
+needs O(_BLOCK m) memory.  The stage uses numpy, which the package itself
+never imports.
 """
 
 from __future__ import annotations
@@ -19,7 +27,11 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergence
+from unityroot import fixed
+from unityroot.errors import NoConvergence, ZeroTarget
+from unityroot.hpcomplex import HPComplex, lift_complex
+from unityroot.solver import (RootSet, _check_index, _csqrt, _pair,
+                              _root_scale, _scale2, assemble_rootset)
 
 _SEED = complex(0.4, 0.9)
 _ROTATION = _SEED / abs(_SEED)
@@ -120,3 +132,53 @@ def roots(n: int, c: complex, sweep_budget: int) -> tuple:
                 return z.tolist(), sweep
     raise NoConvergence(
         f"float stage did not settle within {sweep_budget} sweeps for n={n}")
+
+
+def float_stage(n: int, c: complex, sweep_budget: int) -> tuple:
+    """Binary64 roots of z**n = c as a list; returns (roots, sweeps_used).
+
+    Write n = 2**j m with m odd.  Aberth runs on z**m = c (:func:`roots`),
+    and each of j lifting steps turns the roots y of z**(n/2**i) = c into
+    the roots +-sqrt(y) of z**(2n/2**i) = c, so the sweeps see m roots only.
+    """
+    j = (n & -n).bit_length() - 1
+    z, used = roots(n >> j, c, sweep_budget)
+    for _ in range(j):
+        r = [_csqrt(y) for y in z]
+        z = r + [-y for y in r]
+    return z, used
+
+
+def _newton(seeds: list, c: HPComplex, n: int, k: int, precision: int) -> list:
+    """The roots of z**n = c that :func:`unityroot.fixed.newton` reaches
+    from machine-complex seeds of the roots scaled by 2**-k.
+
+    Newton runs on integer pairs at frac = precision + 64 fraction bits (the
+    seeds enter exactly, c / 2**(k n) truncated below 2**-frac), once per
+    seed, and each component is rounded once at the end.
+    """
+    frac = fixed.frac_bits(precision)
+    cs = _pair(c, frac - k * n)
+    out = []
+    for s in seeds:
+        yr, yi = fixed.newton(_pair(lift_complex(s, 53), frac), cs, n, frac)
+        out.append(HPComplex(fixed.to_hpreal(yr, frac - k, precision),
+                             fixed.to_hpreal(yi, frac - k, precision)))
+    return out
+
+
+def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
+    """All n solutions of z**n = c for c != 0, by Aberth's float stage and
+    a Newton finish per root."""
+    if c.is_zero():
+        raise ZeroTarget("z**n = 0 has only the trivial root")
+    _check_index(n, precision)
+    # reduce by an exact power of two so the float stage sees a tame target:
+    # z = 2**k * y  with  y**n = c / 2**(k*n)
+    _, k = _root_scale(c, n)
+    cf = _scale2(c, -k * n).to_complex()
+    if not (math.isfinite(cf.real) and math.isfinite(cf.imag)):
+        raise NoConvergence("target magnitude outside the supported range")
+    floats, _ = float_stage(n, cf, 50 + 10 * n)
+    zs = _newton(floats, c, n, k, precision)
+    return assemble_rootset(zs, c, n, precision)

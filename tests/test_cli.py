@@ -318,8 +318,8 @@ class TestErrorsAndFormats:
     @pytest.mark.parametrize("argv", [("zeta", "--n", "320"),
                                       ("roots", "--n", "307")])
     def test_large_n_solves(self, capsys, argv):
-        # regression sizes for binary64 overflow in the float stage (n >= 307);
-        # both commands solve at index n, so the CLI filled the cache read here
+        # large n, past 300; both commands solve at index n, so the CLI
+        # filled the cache read here
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert solve_unity(int(argv[2])).residual_bound <= HPReal.pow2(-64)

@@ -261,6 +261,22 @@ class TestDecimalSerialization:
                 back = HPReal.from_decimal(x.decimal(), prec)
                 assert (back.sign, back.mantissa, back.exponent) == (
                     x.sign, x.mantissa, x.exponent), (prec, text)
+        # values that round one decade out: 1e-100000 rounds below
+        # 10**-100000 at 32 and 53 bits, and sixty nines at the top round up
+        # to 10**(DECIMAL_MAX_MAGNITUDE + 1) or past it, so each decimal()
+        # string leads outside the bound and still parses back
+        for prec in (32, 53, 128):
+            for text in (f"1e-{DECIMAL_MAX_MAGNITUDE}",
+                         "-" + "9" * 60 + f"e{DECIMAL_MAX_MAGNITUDE - 59}"):
+                x = HPReal.from_decimal(text, prec)
+                back = HPReal.from_decimal(x.decimal(), prec)
+                assert (back.sign, back.mantissa, back.exponent) == (
+                    x.sign, x.mantissa, x.exponent), (prec, text)
+            # values that round outside are still refused
+            for text in (f"9e-{DECIMAL_MAX_MAGNITUDE + 1}",
+                         f"1.1e{DECIMAL_MAX_MAGNITUDE + 1}"):
+                with pytest.raises(ValueError, match="magnitude"):
+                    HPReal.from_decimal(text, prec)
 
     def test_digit_count_is_bounded(self):
         # a million digits took seconds and grew faster than linearly; the

@@ -69,8 +69,9 @@ def test_no_transcendental_outside_the_oracle():
     assert not found
 
 
-def test_numpy_is_imported_by_the_aberth_stage_alone():
-    # the float stage of solve_binomial is the package's one numpy user
+def test_no_module_imports_numpy():
+    # every solve is field operations and square roots on Python integers;
+    # numpy is a test-side dependency only
     found = []
     for path in sorted(Path(unityroot.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -81,11 +82,11 @@ def test_numpy_is_imported_by_the_aberth_stage_alone():
             else:
                 continue
             found += [path.name for name in names if name.split(".")[0] == "numpy"]
-    assert found == ["aberth.py"]
+    assert found == []
 
 
-# every CLI command in a fresh interpreter, then one solve_binomial: numpy
-# is loaded by the solve and by nothing before it
+# every CLI command in a fresh interpreter, then one solve_binomial: none of
+# them loads numpy
 _COLD_PROBE = """
 import json, sys
 from pathlib import Path
@@ -101,7 +102,7 @@ for argv in (["verify", "--n", "12"], ["roots", "--n", "8"],
     assert cli.main(argv + ["--output", str(out / "out.json")]) == 0, argv
     assert "numpy" not in sys.modules, argv
 assert len(solve_binomial(HPComplex.from_int(-8), 3).roots) == 3
-assert "numpy" in sys.modules
+assert "numpy" not in sys.modules
 print("ok")
 """
 

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
-                       ZeroTarget, cofactor_eval, roots_of, simple_zero_check,
-                       solve_binomial, solve_unity)
-from unityroot import aberth, fixed, solver
+                       ZeroTarget, roots_of, solve_binomial, solve_unity)
+from unityroot import fixed, primitivity, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
-from unityroot.solver import (_csqrt, _float_stage, _sort_roots, _unity_layout,
-                              MAX_N, assemble_rootset, contract_tol,
-                              distinct_exp, newton_root, unity_powers)
-from conftest import clear_caches, exact, fresh
+from unityroot.solver import (_csqrt, _sort_roots, _unity_layout, MAX_N,
+                              assemble_rootset, contract_tol, distinct_exp,
+                              newton_root, unity_powers)
+import aberth_oracle
+from conftest import exact, fresh
 
 # the solve indices of `verify --n N` for N in [5, 150], N = 0 or 1 (mod 4):
 # N itself for even N, 2N for odd N
@@ -121,7 +121,7 @@ class TestUnity:
 class TestLargeN:
     @pytest.mark.parametrize("n", [307, 320, 640, 1024])
     def test_solve_unity_large_n(self, n):
-        # regression sizes for binary64 overflow in the float stage (n >= 307)
+        # large n, past the n = 1..300 sweeps of TestSymmetricUnity
         a = fresh(solve_unity, n)
         assert a.residual_bound <= HPReal.pow2(-64)
         assert a.bit_identical(fresh(solve_unity, n))
@@ -140,11 +140,11 @@ class TestLargeN:
                 solve()
 
     def test_float_stage_settles_within_40_sweeps(self):
-        # guards the seeds: the spiral g^k (|g| < 1) took up to 266 sweeps
-        # here, and over 40 at half of these indices
+        # the Aberth oracle's seeds: the spiral g^k (|g| < 1) took up to 266
+        # sweeps here, and over 40 at half of these indices
         slow = {}
         for n in VERIFY_INDICES + [2048]:
-            _, sweeps = _float_stage(n, 1 + 0j, 50 + 10 * n)
+            _, sweeps = aberth_oracle.float_stage(n, 1 + 0j, 50 + 10 * n)
             if sweeps > 40:
                 slow[n] = sweeps
         assert not slow
@@ -162,11 +162,12 @@ class TestSquareRootLifting:
     TARGETS = [1 + 0j, complex(-7, 3), complex(0.6, -1.3), complex(-2.0 ** 200, 0)]
 
     def test_even_float_roots_are_square_roots_of_half_index(self):
+        # the Aberth oracle's lifting
         wrong = []
         for n in (2, 4, 6, 12, 20, 64, 96, 1024):
             for c in self.TARGETS:
-                z, used = _float_stage(n, c, 50 + 10 * n)
-                y, half_used = _float_stage(n // 2, c, 50 + 10 * n)
+                z, used = aberth_oracle.float_stage(n, c, 50 + 10 * n)
+                y, half_used = aberth_oracle.float_stage(n // 2, c, 50 + 10 * n)
                 w = [_csqrt(v) for v in y]
                 if not (same_floats(z, w + [-v for v in w])
                         and used == half_used):
@@ -194,9 +195,7 @@ class TestSquareRootLifting:
     @pytest.mark.parametrize("n", [512, 1024])
     def test_binomial_at_the_top_of_the_reduced_range(self, n):
         # |c / 2**(kn)| just below 2**(n - 1/2), the top of its range (the
-        # last target of each group lies just past it, so k rises by one):
-        # the lifting starts from the root of z**m = c for the odd part
-        # m = 1 of n, that is from c itself
+        # last target of each group lies just past it, so k rises by one)
         failed = []
         for num, den in ((7, 5), (1414, 1000)):
             for shift in (0, 3 * n):
@@ -212,6 +211,8 @@ class TestSquareRootLifting:
 
 
 class TestBlockedRepulsion:
+    """The Aberth oracle's repulsion sums, formed in blocks of rows."""
+
     @staticmethod
     def full_matrix(z, idx):
         rows = np.arange(len(idx))
@@ -224,10 +225,10 @@ class TestBlockedRepulsion:
     @pytest.mark.parametrize("c", [1 + 0j, complex(-7, 3)])
     def test_blocks_match_the_full_matrix(self, monkeypatch, c):
         n = 771  # odd, more than three blocks of rows
-        assert n > 3 * aberth._BLOCK
-        got = _float_stage(n, c, 50 + 10 * n)
-        monkeypatch.setattr(aberth, "_repulsion", self.full_matrix)
-        want = _float_stage(n, c, 50 + 10 * n)
+        assert n > 3 * aberth_oracle._BLOCK
+        got = aberth_oracle.float_stage(n, c, 50 + 10 * n)
+        monkeypatch.setattr(aberth_oracle, "_repulsion", self.full_matrix)
+        want = aberth_oracle.float_stage(n, c, 50 + 10 * n)
         assert got[1] == want[1] and same_floats(got[0], want[0])
 
 
@@ -372,49 +373,18 @@ class TestBinomial:
                         failed.append((precision, exp, n, bound.to_float()))
         assert not failed
 
-    @pytest.mark.parametrize("solve", [solve_binomial, roots_of])
+    def test_roots_of_is_solve_binomial(self):
+        # one solver for z**n = c under both public names
+        assert roots_of is solve_binomial
+        assert primitivity.roots_of is solver.solve_binomial
+
+    @pytest.mark.parametrize("solve", [solve_binomial, roots_of],
+                             ids=["solve_binomial", "roots_of"])
     def test_tiny_target_keeps_documented_order(self, solve):
         # an absolute real-axis band put every root of modulus 2**-120 in it
         rs = solve(HPComplex(HPReal.pow2(-600), HPReal.zero()), 5)
         assert_documented_order(rs.roots)
         assert [z.im.sign for z in rs.roots[:2] + rs.roots[3:]] == [1, 1, -1, -1]
-
-
-class TestCofactor:
-    def test_value_at_w_equals_n(self):
-        one = HPComplex.one()
-        got = cofactor_eval(one, one, 4)
-        assert got == HPComplex.from_int(4)
-
-    def test_value_at_i(self):
-        # Q(w) = n*w^(n-1): at w = i, n = 4: 4*i^3 = -4i
-        i = HPComplex.i()
-        got = cofactor_eval(i, i, 4)
-        assert (got - HPComplex.from_int(0, -4)).abs2() <= HPReal.pow2(-200)
-
-    def test_z_zero_keeps_last_term(self):
-        for n in (1, 3, 9):
-            got = cofactor_eval(HPComplex.zero(), HPComplex.one(), n)
-            assert got == HPComplex.one()
-
-
-class TestSimpleZero:
-    def test_clean_set_passes(self):
-        assert simple_zero_check(solve_unity(6))
-        assert simple_zero_check(solve_unity(1))
-
-    def test_duplicated_root_fails(self):
-        rs = solve_unity(6)
-        corrupted = RootSet(n=6, target=rs.target,
-                            roots=rs.roots[:5] + (rs.roots[4],),
-                            residual_bound=rs.residual_bound,
-                            precision=rs.precision)
-        assert not simple_zero_check(corrupted)
-
-    def test_non_unity_set_rejected(self):
-        rs = solve_binomial(HPComplex.from_int(16), 4)
-        with pytest.raises(InvalidN):
-            simple_zero_check(rs)
 
 
 def test_root_values_are_exact_dyadics_of_reported_precision():
@@ -458,7 +428,8 @@ BOUND_TARGETS = [
 
 
 class TestFixedPointStage:
-    @pytest.mark.parametrize("solve", [solve_binomial, roots_of, solve_unity])
+    @pytest.mark.parametrize("solve", [solve_binomial, roots_of, solve_unity],
+                             ids=["solve_binomial", "roots_of", "solve_unity"])
     def test_residual_bound_is_an_upper_bound(self, solve):
         # the bound of the returned, rounded roots, against their exact
         # residual; solve_unity bounds one root per orbit and covers the rest
@@ -658,34 +629,19 @@ class TestSymmetricUnity:
                              ladders.count(n), len(bounds)))
         assert not over
 
-    def test_root_off_the_unit_circle_raises(self, monkeypatch):
-        # |z**n - 1| >= | |z|**2 - 1 | for n >= 2, so a true residual bound
-        # keeps this check silent; it guards the bound.  One representative
-        # moved outward by about 2**-80 raises it against a bound held below
-        # 2 * 2**-80, and passes against the bound of the moved set itself
-        n, precision = 12, 128
-        powers = fixed.powers
-
-        def off_circle(a, m, frac):
-            out = powers(a, m, frac)
-            x, y = out[2]
-            out[2] = x + (x >> 80), y + (y >> 80)
-            return out
-
-        monkeypatch.setattr(fixed, "powers", off_circle)
-        try:
-            moved = fresh(solve_unity, n, precision)
-            assert HPReal.pow2(-80) < moved.residual_bound < HPReal.pow2(-64)
-            for held, raises in ((-100, True), (-82, True), (-78, False)):
-                monkeypatch.setattr(solver, "_residual_bound",
-                                    lambda *args, e=held: HPReal.pow2(e, precision))
-                if raises:
-                    with pytest.raises(NoConvergence, match="off the unit circle"):
-                        fresh(solve_unity, n, precision)
-                else:
-                    fresh(solve_unity, n, precision)
-        finally:
-            clear_caches()  # no moved set may outlive the test in the caches
+    @pytest.mark.parametrize("precision", [32, 53, 128])
+    def test_modulus_is_within_the_residual_bound(self, precision):
+        # | |z|**2 - 1 | <= |z**n - 1| for n >= 2 (derived in solve_unity's
+        # docstring), so the residual bound keeps every representative,
+        # and with it every flip, on the unit circle; decided exactly
+        off = []
+        for n in list(range(1, 301)) + [4096, 32768]:
+            rs = solve_unity(n, precision)
+            bound = exact(rs.residual_bound)
+            for z in rs.roots[:representatives(n)]:
+                if abs(exact(z.re) ** 2 + exact(z.im) ** 2 - 1) > bound:
+                    off.append((n, z.to_complex()))
+        assert not off
 
 
 def trig_seed(k):
@@ -752,11 +708,12 @@ class TestDirectUnity:
     @pytest.mark.parametrize("ns,precision", [
         (list(range(1, 201)) + [255, 256, 298, 1024], 128), ([1024], 32)])
     def test_matches_solve_binomial_as_sets(self, ns, precision):
-        # solve_binomial keeps the Aberth float stage: an independent solver
+        # against the Aberth oracle's solve_binomial, an independent solver
         off = []
         for n in ns:
             unity = solve_unity(n, precision)
-            other = solve_binomial(HPComplex.one(precision), n, precision)
+            other = aberth_oracle.solve_binomial(HPComplex.one(precision), n,
+                                                 precision)
             tol = unity.residual_bound + other.residual_bound
             if not sets_match(unity.roots, other.roots, tol * tol):
                 off.append(n)
