@@ -5,8 +5,8 @@ output is a decimal string that parses back to the exact internal bits at
 the stated precision; identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 domain errors (bad n, zero target, malformed
-values), 2 numerical failures (no convergence, failed certificate checks),
-64 malformed command lines.
+values, an unwritable --output), 2 numerical failures (no convergence,
+failed certificate checks), 64 malformed command lines.
 """
 
 from __future__ import annotations
@@ -14,15 +14,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from dataclasses import dataclass
 
-from .descent import DESCENT_MIN_N, ZetaCertificate, build_certificate
-from .errors import CertificateFailure, DomainError, NumericalError
+from .descent import DESCENT_MIN_N, build_certificate
+from .dft import dft_forward
+from .errors import (CertificateFailure, DomainError, InvalidM, InvalidN,
+                     InvalidPrecision, NumericalError, UnityRootError)
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
 from .oracle import zeta_matches_trig
-from .primitivity import gcd_primitivity, multiplicative_order, roots_of
+from .primitivity import multiplicative_order, roots_of
 from .solver import solve_unity
 from .zeta import construct_zeta, radius_identity_check, zeta_basis
 
@@ -32,20 +34,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
-
-
-@dataclass
-class CliConfig:
-    command: str
-    n: int | None = None
-    m: int | None = None
-    c_re: str | None = None
-    c_im: str | None = None
-    precision: int = 128
-    format: str = "json"
-    input_path: str | None = None
-    output_path: str | None = None
-    with_certificate: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +51,8 @@ def _build_parser() -> _Parser:
                                  "n-th roots of unity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True):
+    def command(name, summary, need_n=True):
+        p = sub.add_parser(name, help=summary)
         if need_n:
             p.add_argument("--n", type=int, required=True, help="index n >= 1")
         p.add_argument("--precision", type=int, default=128,
@@ -71,69 +60,54 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", dest="output_path", default=None,
                        help="write the payload to this path instead of stdout")
+        return p
 
-    p = sub.add_parser("roots", help="all n-th roots of unity")
-    common(p)
-
-    p = sub.add_parser("zeta", help="the distinguished primitive root")
-    common(p)
-    p.add_argument("--certificate", action="store_true",
-                   help="include the descent certificate in the payload")
-
-    p = sub.add_parser("verify", help="full construction + certification chain")
-    common(p)
-
-    p = sub.add_parser("order", help="multiplicative order of zeta^m")
-    common(p)
-    p.add_argument("--m", type=int, required=True, help="power 1 <= m <= n")
-
-    p = sub.add_parser("roots-of", help="all n-th roots of an arbitrary c")
-    common(p)
+    command("roots", "all n-th roots of unity")
+    command("zeta", "the distinguished primitive root").add_argument(
+        "--certificate", action="store_true",
+        help="include the descent certificate in the payload")
+    command("verify", "full construction + certification chain")
+    command("order", "multiplicative order of zeta^m").add_argument(
+        "--m", type=int, required=True, help="power 1 <= m <= n")
+    p = command("roots-of", "all n-th roots of an arbitrary c")
     p.add_argument("--c-re", dest="c_re", required=True,
                    help="real part of c as a decimal string")
     p.add_argument("--c-im", dest="c_im", default="0",
                    help="imaginary part of c as a decimal string")
-
-    p = sub.add_parser("dft", help="forward reference DFT of a JSON vector")
-    common(p, need_n=False)
+    p = command("dft", "forward reference DFT of a JSON vector", need_n=False)
     p.add_argument("--n", type=int, default=None,
                    help="expected length (validated against the input file)")
     p.add_argument("--input", dest="input_path", required=True,
                    help="JSON file {n, values: [{re, im}, ...]}")
-
     return parser
 
 
 # ---------------------------------------------------------------------------
-# payload builders
+# payload builders: each command returns its own keys, the dispatcher adds
+# schema_version
 # ---------------------------------------------------------------------------
 
 
-def _num(x: HPReal) -> str:
-    return x.decimal()
-
-
 def _complex_obj(z: HPComplex) -> dict:
-    return {"re": _num(z.re), "im": _num(z.im)}
+    return {"re": z.re.decimal(), "im": z.im.decimal()}
 
 
 def _rootset_payload(rs) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "n": rs.n,
         "precision": rs.precision,
-        "residual_bound": _num(rs.residual_bound),
+        "residual_bound": rs.residual_bound.decimal(),
         "roots": [_complex_obj(z) for z in rs.roots],
     }
 
 
-def _certificate_payload(cert: ZetaCertificate) -> dict:
-    return {
+def _certificate_payload(cert) -> dict | None:
+    return None if cert is None else {
         "n": cert.n,
         "p": cert.p,
-        "xs": [_num(x) for x in cert.xs],
+        "xs": [x.decimal() for x in cert.xs],
         "checks": cert.checks.as_dict(),
-        "tolerance": _num(cert.tolerance),
+        "tolerance": cert.tolerance.decimal(),
     }
 
 
@@ -148,117 +122,96 @@ def _make_certificate(n: int, precision: int):
     return build_certificate(zeta, solve_unity(basis, precision))
 
 
-def _cmd_roots(cfg: CliConfig) -> tuple:
-    rs = solve_unity(cfg.n, cfg.precision)
-    return _rootset_payload(rs), EXIT_OK
+def _zeta_header(args):
+    """zeta(n) and the header that `zeta` and `verify` share."""
+    zeta = construct_zeta(args.n, args.precision)
+    return zeta, {"n": args.n, "precision": args.precision,
+                  "a": zeta.a.decimal(), "b": zeta.b.decimal(),
+                  "r": zeta.r.decimal()}
 
 
-def _cmd_zeta(cfg: CliConfig) -> tuple:
-    zeta = construct_zeta(cfg.n, cfg.precision)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "n": cfg.n,
-        "precision": cfg.precision,
-        "a": _num(zeta.a),
-        "b": _num(zeta.b),
-        "r": _num(zeta.r),
-    }
-    if cfg.with_certificate:
-        cert = _make_certificate(cfg.n, cfg.precision)
-        payload["certificate"] = None if cert is None else _certificate_payload(cert)
-    return payload, EXIT_OK
+def _cmd_roots(args) -> dict:
+    return _rootset_payload(solve_unity(args.n, args.precision))
 
 
-def _cmd_verify(cfg: CliConfig) -> tuple:
-    zeta = construct_zeta(cfg.n, cfg.precision)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "n": cfg.n,
-        "precision": cfg.precision,
-        "a": _num(zeta.a),
-        "b": _num(zeta.b),
-        "r": _num(zeta.r),
-        "certificate": None,
-    }
+def _cmd_zeta(args) -> dict:
+    _, payload = _zeta_header(args)
+    if args.certificate:
+        payload["certificate"] = _certificate_payload(
+            _make_certificate(args.n, args.precision))
+    return payload
+
+
+def _cmd_verify(args) -> dict:
+    zeta, payload = _zeta_header(args)
     checks = {"radius_identity": radius_identity_check(zeta)}
     cert_failed: list = []
     try:
-        cert = _make_certificate(cfg.n, cfg.precision)
+        cert = _make_certificate(args.n, args.precision)
     except CertificateFailure as exc:
-        cert = exc.certificate
-        cert_failed = exc.failed
+        cert, cert_failed = exc.certificate, exc.failed
+    payload["certificate"] = _certificate_payload(cert)
     if cert is not None:
-        payload["certificate"] = _certificate_payload(cert)
         checks["certificate_passed"] = not cert_failed
-    report = multiplicative_order(zeta.as_complex(), cfg.n)
+    report = multiplicative_order(zeta.as_complex(), args.n)
     checks["order_equals_n"] = report.is_primitive
-    checks["trig_oracle_match"] = zeta_matches_trig(cfg.n, cfg.precision)
+    checks["trig_oracle_match"] = zeta_matches_trig(args.n, args.precision)
     payload["checks"] = checks
     payload["passed"] = all(checks.values())
     if not payload["passed"]:
         payload["failed_checks"] = sorted(
             [k for k, v in checks.items() if not v] + cert_failed)
-        return payload, EXIT_NUMERICAL
-    return payload, EXIT_OK
+    return payload
 
 
-def _cmd_order(cfg: CliConfig) -> tuple:
-    import math
-
-    zeta = construct_zeta(cfg.n, cfg.precision)
-    report = multiplicative_order(zeta.as_complex().pow(cfg.m), cfg.n)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "n": cfg.n,
-        "m": cfg.m,
-        "precision": cfg.precision,
+def _cmd_order(args) -> dict:
+    zeta = construct_zeta(args.n, args.precision)
+    report = multiplicative_order(zeta.as_complex().pow(args.m), args.n)
+    return {
+        "n": args.n,
+        "m": args.m,
+        "precision": args.precision,
         "order": report.order,
         "is_primitive": report.is_primitive,
-        "gcd": math.gcd(cfg.m, cfg.n),
+        "gcd": math.gcd(args.m, args.n),
     }
-    return payload, EXIT_OK
 
 
-def _cmd_roots_of(cfg: CliConfig) -> tuple:
+def _cmd_roots_of(args) -> dict:
     try:
-        c = HPComplex(HPReal.from_decimal(cfg.c_re, cfg.precision),
-                      HPReal.from_decimal(cfg.c_im, cfg.precision))
+        c = HPComplex(HPReal.from_decimal(args.c_re, args.precision),
+                      HPReal.from_decimal(args.c_im, args.precision))
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
-    rs = roots_of(c, cfg.n, cfg.precision)
-    payload = _rootset_payload(rs)
+    payload = _rootset_payload(roots_of(c, args.n, args.precision))
     payload["c"] = _complex_obj(c)
-    return payload, EXIT_OK
+    return payload
 
 
-def _cmd_dft(cfg: CliConfig) -> tuple:
-    from .dft import dft_forward
-
+def _cmd_dft(args) -> dict:
     try:
-        with open(cfg.input_path, "r", encoding="utf-8") as handle:
+        with open(args.input_path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        raw = doc["values"]
-        values = [HPComplex(HPReal.from_decimal(str(v["re"]), cfg.precision),
-                            HPReal.from_decimal(str(v["im"]), cfg.precision))
-                  for v in raw]
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        values = [HPComplex(HPReal.from_decimal(str(v["re"]), args.precision),
+                            HPReal.from_decimal(str(v["im"]), args.precision))
+                  for v in doc["values"]]
+    # malformed JSON raises ValueError, JSON nested past the decoder's
+    # recursion limit RecursionError
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DomainError(f"bad dft input: {exc}") from exc
     n = len(values)
     if n == 0:
         raise DomainError("dft input must contain at least one value")
     if "n" in doc and doc["n"] != n:
         raise DomainError(f"input declares n={doc['n']} but holds {n} values")
-    if cfg.n is not None and cfg.n != n:
-        raise DomainError(f"--n {cfg.n} does not match input length {n}")
-    transform = dft_forward(values, cfg.precision)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    if args.n is not None and args.n != n:
+        raise DomainError(f"--n {args.n} does not match input length {n}")
+    return {
         "n": n,
-        "precision": cfg.precision,
+        "precision": args.precision,
         "values": [_complex_obj(z) for z in values],
-        "transform": [_complex_obj(z) for z in transform],
+        "transform": [_complex_obj(z) for z in dft_forward(values, args.precision)],
     }
-    return payload, EXIT_OK
 
 
 _COMMANDS = {
@@ -276,89 +229,66 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _render_text(payload: dict, lines=None, prefix="") -> str:
-    if lines is None:
-        lines = []
-        _render_text(payload, lines)
-        return "\n".join(lines) + "\n"
-    for key, value in payload.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            _render_text(value, lines, prefix=f"{name}.")
-        elif isinstance(value, list):
-            for idx, item in enumerate(value):
-                if isinstance(item, dict):
-                    _render_text(item, lines, prefix=f"{name}[{idx}].")
-                else:
-                    lines.append(f"{name}[{idx}] = {item}")
-        else:
-            lines.append(f"{name} = {value}")
-    return ""
-
-
-def _emit(payload: dict, cfg: CliConfig) -> None:
-    if cfg.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+def _text_lines(value, name: str):
+    """`name = value` lines: a dict extends the name with `.key` for each
+    entry, a list with `[i]` for each item."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _text_lines(item, f"{name}.{key}")
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            yield from _text_lines(item, f"{name}[{idx}]")
     else:
-        text = _render_text(payload)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        yield f"{name} = {value}"
 
 
-def run(cfg: CliConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    if cfg.command != "dft" and (cfg.n is None or cfg.n < 1):
-        _emit({"schema_version": SCHEMA_VERSION, "error": "InvalidN",
-               "detail": f"n must be >= 1, got {cfg.n}"}, cfg)
-        return EXIT_DOMAIN
-    if cfg.command == "order" and (cfg.m is None or not 1 <= cfg.m <= cfg.n):
-        _emit({"schema_version": SCHEMA_VERSION, "error": "InvalidM",
-               "detail": f"m must satisfy 1 <= m <= n = {cfg.n}, got {cfg.m}"}, cfg)
-        return EXIT_DOMAIN
-    if cfg.precision < 32:
-        _emit({"schema_version": SCHEMA_VERSION, "error": "InvalidPrecision",
-               "detail": "precision must be at least 32 bits"}, cfg)
-        return EXIT_DOMAIN
+def _render(payload: dict, fmt: str) -> str:
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    return "\n".join(line for key, value in payload.items()
+                     for line in _text_lines(value, key)) + "\n"
+
+
+def _error(exc: UnityRootError) -> tuple[dict, int]:
+    """The payload and exit code of a library error."""
+    payload = {"error": type(exc).__name__, "detail": str(exc)}
+    if isinstance(exc, CertificateFailure):
+        payload["failed_checks"] = exc.failed
+        payload["certificate"] = _certificate_payload(exc.certificate)
+    return payload, EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DOMAIN
+
+
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments; returns the process exit code.  A payload
+    that --output cannot take goes to stdout as a DomainError naming it."""
     try:
-        payload, code = _COMMANDS[cfg.command](cfg)
-    except CertificateFailure as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "error": type(exc).__name__,
-            "detail": str(exc),
-            "failed_checks": exc.failed,
-            "certificate": _certificate_payload(exc.certificate),
-        }
-        code = EXIT_NUMERICAL
-    except NumericalError as exc:
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "error": type(exc).__name__, "detail": str(exc)}
-        code = EXIT_NUMERICAL
-    except DomainError as exc:
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "error": type(exc).__name__, "detail": str(exc)}
-        code = EXIT_DOMAIN
-    _emit(payload, cfg)
+        if args.command != "dft" and args.n < 1:
+            raise InvalidN(f"n must be >= 1, got {args.n}")
+        if args.command == "order" and not 1 <= args.m <= args.n:
+            raise InvalidM(f"m must satisfy 1 <= m <= n = {args.n}, got {args.m}")
+        if args.precision < 32:
+            raise InvalidPrecision("precision must be at least 32 bits")
+        payload = _COMMANDS[args.command](args)
+        code = EXIT_OK if payload.get("passed", True) else EXIT_NUMERICAL
+    except UnityRootError as exc:
+        payload, code = _error(exc)
+    text = _render(payload, args.format)
+    if args.output_path is not None:
+        try:
+            with open(args.output_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return code
+        except OSError as exc:
+            payload, code = _error(DomainError(
+                f"cannot write {args.output_path}: {exc.strerror}"))
+            text = _render(payload, args.format)
+    sys.stdout.write(text)
     return code
 
 
-def parse_args(argv=None) -> CliConfig:
-    args = _build_parser().parse_args(argv)
-    return CliConfig(
-        command=args.command,
-        n=args.n,
-        m=getattr(args, "m", None),
-        c_re=getattr(args, "c_re", None),
-        c_im=getattr(args, "c_im", None),
-        precision=args.precision,
-        format=args.format,
-        input_path=getattr(args, "input_path", None),
-        output_path=args.output_path,
-        with_certificate=getattr(args, "certificate", False),
-    )
+def parse_args(argv=None) -> argparse.Namespace:
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

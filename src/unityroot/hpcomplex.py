@@ -15,8 +15,6 @@ to the composed ``HPComplex(x*u - y*v, x*v + y*u)``.
 
 from __future__ import annotations
 
-import math
-
 from .hpreal import HPReal, add_raw, round_raw
 
 
@@ -87,7 +85,8 @@ class HPComplex:
 
     @classmethod
     def from_float(cls, value: complex, precision: int = 128) -> "HPComplex":
-        """Exact dyadic embedding of a machine complex, then rounding."""
+        """Exact dyadic embedding of a machine complex, then rounding; a
+        non-finite part raises ValueError."""
         return cls(HPReal.from_float(value.real, precision),
                    HPReal.from_float(value.imag, precision))
 
@@ -184,11 +183,3 @@ class HPComplex:
 
     def __repr__(self) -> str:
         return f"HPComplex({self.re.to_float():.17g}, {self.im.to_float():.17g})"
-
-
-def lift_complex(z: complex, precision: int) -> HPComplex:
-    """Exact lift of a machine complex (used when handing float-stage results
-    to the high-precision stages)."""
-    if z.real != z.real or z.imag != z.imag or math.isinf(z.real) or math.isinf(z.imag):
-        raise ValueError("cannot lift non-finite complex")
-    return HPComplex.from_float(z, precision)

@@ -56,6 +56,18 @@ def round_raw(sign: int, mant: int, exp: int, precision: int, sticky: bool = Fal
     return sign, keep, exp + drop
 
 
+def _quotient(sign: int, num: int, den: int, exp: int, precision: int):
+    """sign * num/den * 2**exp for num, den > 0, correctly rounded: the
+    quotient keeps precision + 4 bits or more and the remainder becomes the
+    sticky bit."""
+    shift = precision + 4 - num.bit_length() + den.bit_length()
+    if shift >= 0:
+        q, r = divmod(num << shift, den)
+    else:
+        q, r = divmod(num, den << -shift)
+    return round_raw(sign, q, exp - shift, precision, sticky=r != 0)
+
+
 # ---------------------------------------------------------------------------
 # decimal digits of integers of any size
 # ---------------------------------------------------------------------------
@@ -145,13 +157,7 @@ class HPReal:
         if num == 0:
             return cls._raw(0, 0, 0, precision)
         sign = 1 if (num > 0) == (den > 0) else -1
-        num, den = abs(num), abs(den)
-        shift = precision + 4 - num.bit_length() + den.bit_length()
-        if shift >= 0:
-            q, r = divmod(num << shift, den)
-        else:
-            q, r = divmod(num, den << -shift)
-        s, m, e = round_raw(sign, q, -shift, precision, sticky=r != 0)
+        s, m, e = _quotient(sign, abs(num), abs(den), 0, precision)
         return cls._raw(s, m, e, precision)
 
     @classmethod
@@ -260,11 +266,8 @@ class HPReal:
             raise DivisionByZero("division by zero")
         if self.sign == 0:
             return HPReal._raw(0, 0, 0, prec)
-        shift = prec + 4 - self.mantissa.bit_length() + o.mantissa.bit_length()
-        q, r = divmod(self.mantissa << shift, o.mantissa)
-        s, m, e = round_raw(self.sign * o.sign, q,
-                             self.exponent - o.exponent - shift, prec,
-                             sticky=r != 0)
+        s, m, e = _quotient(self.sign * o.sign, self.mantissa, o.mantissa,
+                            self.exponent - o.exponent, prec)
         return HPReal._raw(s, m, e, prec)
 
     def __rtruediv__(self, other) -> "HPReal":
@@ -447,15 +450,8 @@ class HPReal:
             value = digits * 10 ** scale
             s_, m, e = round_raw(sign, value, 0, precision)
             return cls._raw(s_, m, e, precision)
-        # digits / (2**k * 5**k) with k = -scale, rounded once
-        k = -scale
-        den = 5 ** k
-        shift = precision + 4 - digits.bit_length() + den.bit_length()
-        if shift >= 0:
-            q, r = divmod(digits << shift, den)
-        else:
-            q, r = divmod(digits, den << -shift)
-        s_, m, e = round_raw(sign, q, -k - shift, precision, sticky=r != 0)
+        # digits * 10**scale = digits / 5**-scale * 2**scale, rounded once
+        s_, m, e = _quotient(sign, digits, 5 ** -scale, scale, precision)
         return cls._raw(s_, m, e, precision)
 
     def __repr__(self) -> str:

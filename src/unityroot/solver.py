@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from . import fixed
 from .errors import InvalidN, NoConvergence, ZeroTarget
-from .hpcomplex import HPComplex, lift_complex
+from .hpcomplex import HPComplex
 from .hpreal import HPReal
 
 # the largest n any solve accepts.  Every solve is close to linear in n
@@ -162,7 +162,7 @@ def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     t = _scale2(c, -s).to_complex()
     seed = _pow_frac(t, 1, n) * _pow_frac(2 + 0j, s - k * n, n)
     frac = fixed.frac_bits(precision)
-    yr, yi = fixed.newton(_pair(lift_complex(seed, 53), frac),
+    yr, yi = fixed.newton(_pair(HPComplex.from_float(seed, 53), frac),
                           _pair(c, frac - k * n), n, frac)
     return HPComplex(fixed.to_hpreal(yr, frac - k, precision),
                      fixed.to_hpreal(yi, frac - k, precision))
@@ -398,7 +398,7 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     want = (n + 3) // 4 - 1 if n % 2 == 0 else (n - 1) // 2
     reps = []
     if want:
-        seed = lift_complex(_unity_seed(n), 53)
+        seed = HPComplex.from_float(_unity_seed(n), 53)
         frac, y = fixed.lift((seed.re, seed.im), fixed.frac_bits(precision))
         y = fixed.newton(tuple(y), (1 << frac, 0), n, frac)
         reps = [HPComplex(fixed.to_hpreal(re, frac, precision),

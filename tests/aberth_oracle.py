@@ -29,7 +29,7 @@ import numpy as np
 
 from unityroot import fixed
 from unityroot.errors import NoConvergence, ZeroTarget
-from unityroot.hpcomplex import HPComplex, lift_complex
+from unityroot.hpcomplex import HPComplex
 from unityroot.solver import (RootSet, _check_index, _csqrt, _pair,
                               _root_scale, _scale2, assemble_rootset)
 
@@ -161,7 +161,8 @@ def _newton(seeds: list, c: HPComplex, n: int, k: int, precision: int) -> list:
     cs = _pair(c, frac - k * n)
     out = []
     for s in seeds:
-        yr, yi = fixed.newton(_pair(lift_complex(s, 53), frac), cs, n, frac)
+        yr, yi = fixed.newton(_pair(HPComplex.from_float(s, 53), frac), cs,
+                              n, frac)
         out.append(HPComplex(fixed.to_hpreal(yr, frac - k, precision),
                              fixed.to_hpreal(yi, frac - k, precision)))
     return out

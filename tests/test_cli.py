@@ -246,6 +246,15 @@ class TestDftCommand:
         code, out = run_cli(capsys, "dft", "--input", "/nonexistent.json")
         assert code == EXIT_DOMAIN
 
+    def test_deeply_nested_input_rejected(self, tmp_path, capsys):
+        # the JSON decoder's RecursionError escaped as a traceback
+        path = tmp_path / "deep.json"
+        path.write_text('{"values": ' + "[" * 5000 + "]" * 5000 + "}")
+        code, out = run_cli(capsys, "dft", "--input", str(path))
+        doc = json.loads(out)
+        assert code == EXIT_DOMAIN and doc["error"] == "DomainError"
+        assert doc["detail"].startswith("bad dft input: ")
+
 
 class TestErrorsAndFormats:
     def test_invalid_n_exit_code(self, capsys):
@@ -354,6 +363,21 @@ class TestErrorsAndFormats:
         assert code == EXIT_OK
         assert json.loads(target.read_text())["a"] == "0.5"
 
+    def test_unwritable_output_is_domain_error(self, tmp_path, capsys):
+        # open() raised FileNotFoundError or IsADirectoryError out of main
+        for target in ("/nonexistent/x.json", str(tmp_path)):
+            code, out = run_cli(capsys, "roots", "--n", "4", "--output", target)
+            doc = json.loads(out)
+            assert code == EXIT_DOMAIN and doc["error"] == "DomainError"
+            assert target in doc["detail"]
+
+    def test_unwritable_output_as_text(self, capsys):
+        code, out = run_cli(capsys, "zeta", "--n", "6", "--format", "text",
+                            "--output", "/nonexistent/x.txt")
+        assert code == EXIT_DOMAIN
+        assert out.splitlines()[:2] == ["schema_version = 1",
+                                        "error = DomainError"]
+
     def test_alternate_precision_flag(self, capsys):
         code, out = run_cli(capsys, "zeta", "--n", "6", "--precision", "192")
         assert code == EXIT_OK
@@ -371,3 +395,14 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["a"].startswith("0.7071067811865475244")
+
+
+def test_unwritable_output_end_to_end(tmp_path):
+    for target in ("/nonexistent/x.json", str(tmp_path)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "unityroot.cli", "roots", "--n", "4",
+             "--output", target], capture_output=True, text=True)
+        assert proc.returncode == EXIT_DOMAIN
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == "DomainError" and target in doc["detail"]

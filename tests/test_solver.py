@@ -134,7 +134,6 @@ class TestLargeN:
         c = HPComplex.from_int(2)
         for solve in (lambda: fresh(solve_unity, MAX_N + 1),
                       lambda: solve_binomial(c, MAX_N + 1),
-                      lambda: roots_of(c, MAX_N + 1),
                       lambda: newton_root(c, MAX_N + 1, 128)):
             with pytest.raises(InvalidN, match=str(MAX_N)):
                 solve()
@@ -378,11 +377,9 @@ class TestBinomial:
         assert roots_of is solve_binomial
         assert primitivity.roots_of is solver.solve_binomial
 
-    @pytest.mark.parametrize("solve", [solve_binomial, roots_of],
-                             ids=["solve_binomial", "roots_of"])
-    def test_tiny_target_keeps_documented_order(self, solve):
+    def test_tiny_target_keeps_documented_order(self):
         # an absolute real-axis band put every root of modulus 2**-120 in it
-        rs = solve(HPComplex(HPReal.pow2(-600), HPReal.zero()), 5)
+        rs = solve_binomial(HPComplex(HPReal.pow2(-600), HPReal.zero()), 5)
         assert_documented_order(rs.roots)
         assert [z.im.sign for z in rs.roots[:2] + rs.roots[3:]] == [1, 1, -1, -1]
 
@@ -428,8 +425,8 @@ BOUND_TARGETS = [
 
 
 class TestFixedPointStage:
-    @pytest.mark.parametrize("solve", [solve_binomial, roots_of, solve_unity],
-                             ids=["solve_binomial", "roots_of", "solve_unity"])
+    @pytest.mark.parametrize("solve", [solve_binomial, solve_unity],
+                             ids=["solve_binomial", "solve_unity"])
     def test_residual_bound_is_an_upper_bound(self, solve):
         # the bound of the returned, rounded roots, against their exact
         # residual; solve_unity bounds one root per orbit and covers the rest
@@ -507,7 +504,6 @@ class TestFixedPointStage:
                 fresh(solve_unity, n, precision))
         c = HPComplex.from_int(-7, 3)
         assert solve_binomial(c, 20).bit_identical(solve_binomial(c, 20))
-        assert roots_of(c, 20).bit_identical(roots_of(c, 20))
 
 
 def bits(z):

@@ -12,8 +12,14 @@ leaves the output byte-identical.  The groups are `verify`, `roots` and
 `dft` inputs, `low-precision`: `verify` and `roots` at (n, precision) =
 (1024, 32) and (2048, 32), then `roots --n 32 --precision 33`, and
 `zeta-precisions`: `zeta` at precisions 32, 53 and 256 for every n in 1..64
-and n = 4095, 4096.  With `--dump` it also writes each command's output to a
-JSON file.
+and n = 4095, 4096.  `errors-and-text` runs every command once with
+`--format text`, then the error paths: invalid n (once more as text), m
+and precision, `roots-of` targets that are zero, malformed or out of
+range, `dft` inputs whose length disagrees with their `n` or with `--n`,
+malformed JSON and a missing file, and the two exit-2 paths at n = 8192,
+precision 32 (a `CertificateFailure` from `zeta --certificate`, a failed
+`verify`).  No output in it names a temporary path.  With `--dump` it also
+writes each command's output to a JSON file.
 
 `--compare` reads two dumps and prints, for each group, the number of
 commands whose output changed and the largest change of the numbers under
@@ -49,6 +55,18 @@ LOW_PRECISION = [(cmd, n, "32") for n in ("1024", "2048")
                  for cmd in ("verify", "roots")] + [("roots", "32", "33")]
 ZETA_PRECISIONS = [(str(n), precision) for precision in ("32", "53", "256")
                    for n in [*range(1, 65), 4095, 4096]]
+TEXT = [["roots", "--n", "5"], ["zeta", "--n", "12", "--certificate"],
+        ["verify", "--n", "12"], ["order", "--n", "6", "--m", "5"],
+        ["roots-of", "--n", "3", "--c-re", "-8", "--c-im", "1"]]
+ERRORS = [["zeta", "--n", "0"], ["zeta", "--n", "0", "--format", "text"],
+          ["roots", "--n", "32769"],
+          ["verify", "--n", "16385"], ["order", "--n", "6", "--m", "0"],
+          ["order", "--n", "6", "--m", "7"],
+          ["zeta", "--n", "6", "--precision", "16"],
+          *(["roots-of", "--n", "3", "--c-re", c]
+            for c in ("0", "abc", "1e999999999"))]
+NUMERICAL = [["zeta", "--n", "8192", "--precision", "32", "--certificate"],
+             ["verify", "--n", "8192", "--precision", "32"]]
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 KEY = re.compile(r'"([^"]+)":')
@@ -63,13 +81,32 @@ def _output(argv: list) -> str:
     return f"{code}\n{buf.getvalue()}"
 
 
+def _file(directory: str, name: str, text: str) -> str:
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
+
+
 def _dft_input(directory: str, i: int, n: int) -> str:
-    path = os.path.join(directory, f"dft{n}.json")
     values = [{"re": f"{(k * 7 + i) % 11 - 5}.{k}", "im": f"-{k % 3}.25"}
               for k in range(n)]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"n": n, "values": values}, handle)
-    return path
+    return _file(directory, f"dft{n}.json",
+                 json.dumps({"n": n, "values": values}))
+
+
+def _errors_and_text(tmp: str) -> list:
+    one = [{"re": "1", "im": "0"}]
+    return [*([*argv, "--format", "text"] for argv in TEXT),
+            ["dft", "--input", _dft_input(tmp, 0, 4), "--format", "text"],
+            *ERRORS,
+            ["dft", "--input", _file(tmp, "declared.json",
+                                     json.dumps({"n": 3, "values": one}))],
+            ["dft", "--n", "2", "--input",
+             _file(tmp, "one.json", json.dumps({"values": one}))],
+            ["dft", "--input", _file(tmp, "malformed.json", '{"values": [')],
+            ["dft", "--input", "/nonexistent.json"],
+            *NUMERICAL]
 
 
 def _groups(tmp: str) -> dict:
@@ -86,6 +123,7 @@ def _groups(tmp: str) -> dict:
                           for cmd, n, precision in LOW_PRECISION],
         "zeta-precisions": [["zeta", "--n", n, "--precision", precision]
                             for n, precision in ZETA_PRECISIONS],
+        "errors-and-text": _errors_and_text(tmp),
     }
 
 
