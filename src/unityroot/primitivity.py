@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import fixed
-from .errors import InvalidM, NotARoot, NotPrime
+from .errors import InvalidM, InvalidN, NotARoot, NotPrime
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
 from .solver import contract_tol, solve_binomial
@@ -47,12 +47,14 @@ class PrimitivityReport:
 def _unity_test(w: HPComplex, n: int, tol: HPReal | None) -> tuple:
     """(tol, within), tol defaulting to contract_tol at w's precision and
     within(d) deciding |w^d - 1|**2 <= tol**2, once w^n = 1 within tol;
-    NotARoot otherwise.
+    NotARoot otherwise, and InvalidN for n < 1.
 
     w and tol enter the fixed-point kernel exactly, at no fewer than
     frac_bits(w.precision) fraction bits, and w^d is fixed.power's, so each
     test is one power and one comparison of exact integers.
     """
+    if n < 1:
+        raise InvalidN(f"n must be >= 1, got {n}")
     if tol is None:
         tol = contract_tol(w.precision)
     frac, (wr, wi, t) = fixed.lift((w.re, w.im, tol), fixed.frac_bits(w.precision))
@@ -77,11 +79,9 @@ def multiplicative_order(w: HPComplex, n: int, tol: HPReal | None = None) -> Pri
     """Smallest d >= 1 with |w^d - 1| <= tol; only divisors of n can qualify,
     so only those are scanned."""
     tol, within = _unity_test(w, n, tol)
-    for d in _divisors(n):
-        if within(d):
-            return PrimitivityReport(w=w, n=n, order=d,
-                                     is_primitive=(d == n), tol=tol)
-    raise NotARoot("no divisor order found despite w^n = 1")  # unreachable
+    # within(n) holds, so some divisor qualifies
+    d = next(d for d in _divisors(n) if within(d))
+    return PrimitivityReport(w=w, n=n, order=d, is_primitive=(d == n), tol=tol)
 
 
 def gcd_primitivity(m: int, n: int) -> bool:

@@ -15,18 +15,19 @@ set under conjugation, and for even n under negation; both maps are exact
 sign flips of the components.  The axis roots 1, -1 and +-i are inserted
 exactly and every other root is a sign flip of a representative.  A flip
 leaves |z**n - 1| and |z| unchanged, so the bound over the representatives
-bounds every root.  The distinctness screen runs on the representatives
-and the axis roots next to them, and the documented order is built from
-the representatives (:func:`_unity_layout`), so no stage touches all n
-roots.  This is the package's one table of the n-th roots of unity:
-:func:`unity_powers` reads omega**0..omega**(n - 1) off the documented
-order, and the DFT's twiddle table and zeta(n) use it.
+bounds every root.  The representatives must keep a margin from the
+axes, which with the residual bound makes the n roots distinct, and the
+documented order is built from them (:func:`_unity_layout`), so no stage
+touches all n roots.  This is the package's one table of the n-th roots
+of unity: :func:`unity_powers` reads omega**0..omega**(n - 1) off the
+documented order, and the DFT's twiddle table and zeta(n) use it.
 
 For a general c != 0, :func:`solve_binomial` (also exported as
 ``roots_of``) rotates the principal root c**(1/n) (:func:`newton_root`,
-the seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots, and
-:func:`assemble_rootset` checks, orders and bounds the set relative to the
-roots' power-of-two scale.  The residual bound of every root set is a
+the seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots,
+which keeps them distinct, and orders and bounds the set relative to the
+roots' power-of-two scale.  No root set is screened for close pairs: each
+is distinct by construction.  The residual bound of every root set is a
 proven upper bound evaluated in the same kernel.  Every stage is a pure
 function of (c, n, precision), so repeated calls are bit-identical.
 
@@ -145,7 +146,8 @@ def _pair(z: HPComplex, frac: int) -> tuple:
 
 
 def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
-    """The principal n-th root of c != 0 by the solver's Newton loop.
+    """The principal n-th root of c by the solver's Newton loop; c = 0
+    raises ZeroTarget.
 
     With t = c / 2**s, s = top // 2, so 2**-1/2 <= |t| < 2**1/2, the
     principal root is t**(1/n) 2**(s/n) = 2**k t**(1/n) 2**(g/n),
@@ -156,6 +158,8 @@ def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     enters exactly, c / 2**(k n) truncated below 2**-frac), and each
     component of the root is rounded once at the end.
     """
+    if c.is_zero():
+        raise ZeroTarget("z**n = 0 has only the trivial root")
     _check_index(n, precision)
     top, k = _root_scale(c, n)
     s = top // 2
@@ -208,43 +212,10 @@ def distinct_exp(n: int, precision: int) -> int:
     `precision` bits: max(precision // 4, n.bit_length() + 1).
 
     As 2**-e < 1/(2n), the floor stays below the spacing 2 sin(pi/n) >= 4/n
-    of the n-th roots of unity.
+    of the n-th roots of unity.  Half the floor is the margin of the region
+    check of :func:`_unity_layout`.
     """
     return max(precision // 4, n.bit_length() + 1)
-
-
-def _collapsed_pair(zs: list, n: int, precision: int):
-    """The first pair of zs closer than the distinctness floor 2**-e of n
-    roots, e = distinct_exp(n, precision), or None.
-
-    Screening runs in binary64 on the roots sorted by real part: each is
-    compared with the next d = 1, 2, ... in that order until no real-part
-    gap at offset d is below the screening band, so no pair within the band
-    is missed and no n x n matrix is formed.  Suspects are re-measured in
-    high precision.
-    """
-    if len(zs) < 2:
-        return None
-    e = distinct_exp(n, precision)
-    approx = [z.to_complex() for z in zs]
-    order = sorted(range(len(zs)), key=lambda u: approx[u].real)
-    ranked = [approx[u] for u in order]
-    band = max(2.0 ** -e * 4.0, 1e-12)
-    thr2 = HPReal.pow2(-e, precision)
-    thr2 = thr2 * thr2
-    for d in range(1, len(zs)):
-        near = False
-        for j, (a, b) in enumerate(zip(ranked, ranked[d:])):
-            # sorted, so |b - a| < band implies a real-part gap below it
-            if b.real - a.real < band:
-                near = True
-                if abs(b - a) < band:
-                    u, v = sorted((order[j], order[j + d]))
-                    if (zs[u] - zs[v]).abs2() <= thr2:
-                        return u, v
-        if not near:
-            break
-    return None
 
 
 def _sort_roots(zs: list, band: HPReal) -> list:
@@ -278,24 +249,6 @@ def _bounded_rootset(zs: list, c: HPComplex, n: int, precision: int,
                    residual_bound=bound, precision=precision)
 
 
-def assemble_rootset(zs: list, c: HPComplex, n: int, precision: int) -> RootSet:
-    """The RootSet of the n roots zs of z**n = c: checked, ordered, bounded.
-
-    Floor, band and target are relative to the roots' scale 2**k: roots
-    closer than 2**k times the distinctness floor of :func:`_collapsed_pair`
-    mean the solve failed (they are never merged), the real band of the
-    order is 2**k * contract_tol, and the residual bound, over every root,
-    must meet the target of :func:`_bounded_rootset`.
-    """
-    _, k = _root_scale(c, n)
-    pair = _collapsed_pair([_scale2(z, -k) for z in zs], n, precision)
-    if pair is not None:
-        raise NoConvergence(
-            f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
-    zs = _sort_roots(zs, contract_tol(precision).scale2(k))
-    return _bounded_rootset(zs, c, n, precision, zs)
-
-
 def _check_index(n: int, precision: int) -> None:
     if not 1 <= n <= MAX_N:
         raise InvalidN(f"n must be in 1..{MAX_N}, got {n}")
@@ -325,23 +278,33 @@ def _unity_layout(reps: list, n: int, precision: int) -> list:
     half plane and quadrant, and the flips keep or reverse the order of the
     real parts, so this is the order :func:`_sort_roots` gives.
 
-    The distinctness screen runs on R and the axis roots next to it (1, and
-    i when 4 | n), plus Im z > floor/2 (and Re z > floor/2 for even n) for
-    each z in R, floor = 2**-distinct_exp(n, precision).  That is the full
-    screen.  Two images of one representative z lie 2 Im z, 2 Re z or 2|z|
-    apart.  A flip applied to both roots of a pair keeps their distance, so
-    every other pair is a representative z against another representative
-    or an axis root (screened, or for -1 and -i more than 1 away), or
-    against a flipped image of another representative w, at least
-    Im z + Im w or Re z + Re w away.  The axis roots lie sqrt(2) or more
-    apart.
+    The one check is the region: Im z > floor/2 for each z in R, and also
+    Re z > floor/2 for even n, floor = 2**-distinct_exp(n, precision).
+    With the residual bound B <= 2**(1 - precision // 2) that
+    :func:`_bounded_rootset` asks of the set, it makes R the m = len(R)
+    n-th roots of unity of the open region A (the upper half plane for odd
+    n, the first quadrant for even n), so no pair of roots is compared:
+
+    - Each z in R lies within d = 4B/n of an exact n-th root of unity r:
+      arg z**n is within arcsin B <= pi B/2 of 0 and | |z| - 1 | <=
+      B/(n (1 - B)), so |z - r| <= ((1 + B/(1 - B)) pi/2 + 1/(1 - B)) B/n
+      < 4B/n.  As d < floor/2 at every n and precision, r lies in A.
+    - Consecutive representatives are consecutive fixed-point powers of
+      the refined omega, each rounded once: |z_(k+1) - z_k z_1| <
+      2**(2 - precision).  So r_(k+1) lies within 4d + 2**(2 - precision)
+      of r_k r_1, less than the spacing 2 sin(pi/n) >= 4/n of distinct
+      roots, and r_k = r_1**k.
+    - r_1 = e^(2 pi i j/n) lies in A, so its step 2 pi j/n is shorter than
+      the complement of A, and the powers r_1, ..., r_1**m cannot jump over
+      it: they all lie in A only if m 2 pi j/n stays below the end of A, pi
+      for odd n and pi/2 for even n, which holds for j = 1 alone.  So
+      r_k = e^(2 pi i k/n), the m roots of A in turn.
+
+    Each flip of R and each exact axis root then lies as near to its own
+    root of the other quadrants and axes, so any two of the n roots lie at
+    least 4/n - 2d > floor apart.
     """
-    one, i = HPComplex.one(precision), HPComplex.i(precision)
-    axis = [one] + ([i] if n % 4 == 0 else [])
-    pair = _collapsed_pair(reps + axis, n, precision)
-    if pair is not None:
-        raise NoConvergence(
-            f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
+    one = HPComplex.one(precision)
     half = HPReal.pow2(-distinct_exp(n, precision) - 1, precision)
     for z in reps:
         if not (z.im > half and (n % 2 or z.re > half)):
@@ -352,7 +315,7 @@ def _unity_layout(reps: list, n: int, precision: int) -> list:
     if n % 2:
         return reps + [one] + conj
     mirror = [HPComplex(x, z.im) for z, (x, _) in zip(reps, flips)]
-    mid = axis[1:]
+    mid = [HPComplex.i(precision)] if n % 4 == 0 else []
     return (reps + mid + mirror[::-1] + [one, -one] + conj + [-z for z in mid]
             + [HPComplex(x, y) for x, y in reversed(flips)])
 
@@ -371,10 +334,10 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     for even n under negation; both are exact sign flips of the components.
     So the axis roots 1, -1 (even n) and +-i (4 | n) are inserted exactly,
     every other root is conj(z), -z or -conj(z) of a representative z, and
-    the set is screened and laid out in order from the representatives
-    (:func:`_unity_layout`).  A seed that led to another root omega**j
-    would put some power outside the screened region and raise
-    NoConvergence.
+    the set is checked and laid out in order from the representatives
+    (:func:`_unity_layout`), whose region check with the residual bound
+    proves the n roots distinct.  A seed that led to another root omega**j
+    would put some power outside that region and raise NoConvergence.
 
     The residual bound is at most 2**(-precision/2), a proven upper bound
     over every root although it is evaluated on the representatives only:
@@ -430,14 +393,23 @@ def unity_powers(rootset: RootSet) -> tuple:
 def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     """All n solutions of z**n = c for c != 0, as {w z : w**n = 1}.
 
-    c is brought to `precision`, z = c**(1/n) is the principal root from
-    :func:`newton_root` (which also checks n), and it is rotated by the n
-    roots of solve_unity(n), one rounded product each; the set is checked,
-    ordered and bounded by :func:`assemble_rootset`.
+    c is brought to `precision`, z0 = c**(1/n) is the principal root from
+    :func:`newton_root` (which also checks c and n), and it is rotated by
+    the n roots w_i of solve_unity(n), one rounded product each.  The set
+    is ordered with the real band 2**k * contract_tol, 2**k the roots'
+    scale, and bounded over every root by :func:`_bounded_rootset`.
+
+    The rotation keeps the set distinct: the w_i lie at least
+    (4/n)(1 - eps) apart (:func:`_unity_layout`), eps also covering the
+    rounding of the products, and |z0| >= 2**(k - 1/(2n)), so
+
+        |z0 w_i - z0 w_j| >= |z0| (4/n)(1 - eps) > 2**k * floor,
+
+    floor = 2**-distinct_exp(n, precision) < 1/(2n).
     """
-    if c.is_zero():
-        raise ZeroTarget("z**n = 0 has only the trivial root")
     c = HPComplex(c.re.with_precision(precision), c.im.with_precision(precision))
     z0 = newton_root(c, n, precision)
-    roots = [z0 * w for w in solve_unity(n, precision).roots]
-    return assemble_rootset(roots, c, n, precision)
+    _, k = _root_scale(c, n)
+    roots = _sort_roots([z0 * w for w in solve_unity(n, precision).roots],
+                        contract_tol(precision).scale2(k))
+    return _bounded_rootset(roots, c, n, precision, roots)

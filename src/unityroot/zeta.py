@@ -7,9 +7,10 @@ omega = e^(2 pi i/n), and every n reads it off the package's one table of
 roots of unity: entry N/n mod N of :func:`unityroot.solver.unity_powers` of
 solve_unity(N), N = n for even n and N = 2n for odd n, is
 omega_N**(N/n) = omega_n.  The table's entry 1 is omega_N by solve_unity's
-own screen (a seed that reaches any other root raises NoConvergence), and
-the descent certificate proves that this root is the minimizer
-(:func:`unityroot.descent.build_certificate`), so no ranking runs here.
+own region check (a seed that reaches any other root raises
+NoConvergence), and the descent certificate proves that this root is the
+minimizer (:func:`unityroot.descent.build_certificate`), so no ranking
+runs here.
 """
 
 from __future__ import annotations

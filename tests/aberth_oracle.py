@@ -9,9 +9,13 @@ odd, Aberth's simultaneous method (Aberth 1973; Bini 1996, the MPSolve
 design) runs Jacobi sweeps on z**m = c only, and the roots of z**(2d) = c
 are +-sqrt(y) for the roots y of z**d = c, so j square-root lifting steps
 give all n roots.  The settled estimates seed the package's fixed-point
-Newton loop, one root at a time, and the package's ``assemble_rootset``
-checks, orders and bounds the set.  Every stage is a pure function of
-(c, n, precision), so repeated calls are bit-identical.
+Newton loop, one root at a time.  Nothing in that construction keeps two
+estimates from reaching one root, so the set is screened for pairs closer
+than the distinctness floor (:func:`_collapsed_pair`) before the package's
+order and residual bound are applied.  The package's own root sets need no
+such screen, being distinct by construction; the tests also run it on them
+to confirm that.  Every stage is a pure function of (c, n, precision), so
+repeated calls are bit-identical.
 
 The sweeps run on z**m = c from the rotation seeds u, u^2, ..., u^m,
 u = g/|g| with g = 0.4 + 0.9i: unit-circle points at irrational angles,
@@ -30,8 +34,10 @@ import numpy as np
 from unityroot import fixed
 from unityroot.errors import NoConvergence, ZeroTarget
 from unityroot.hpcomplex import HPComplex
-from unityroot.solver import (RootSet, _check_index, _csqrt, _pair,
-                              _root_scale, _scale2, assemble_rootset)
+from unityroot.hpreal import HPReal
+from unityroot.solver import (RootSet, _bounded_rootset, _check_index, _csqrt,
+                              _pair, _root_scale, _scale2, _sort_roots,
+                              contract_tol, distinct_exp)
 
 _SEED = complex(0.4, 0.9)
 _ROTATION = _SEED / abs(_SEED)
@@ -168,9 +174,46 @@ def _newton(seeds: list, c: HPComplex, n: int, k: int, precision: int) -> list:
     return out
 
 
+def _collapsed_pair(zs: list, n: int, precision: int):
+    """The first pair of zs closer than the distinctness floor 2**-e of n
+    roots, e = distinct_exp(n, precision), or None.
+
+    Screening runs in binary64 on the roots sorted by real part: each is
+    compared with the next d = 1, 2, ... in that order until no real-part
+    gap at offset d is below the screening band, so no pair within the band
+    is missed and no n x n matrix is formed.  Suspects are re-measured in
+    high precision.
+    """
+    if len(zs) < 2:
+        return None
+    e = distinct_exp(n, precision)
+    approx = [z.to_complex() for z in zs]
+    order = sorted(range(len(zs)), key=lambda u: approx[u].real)
+    ranked = [approx[u] for u in order]
+    band = max(2.0 ** -e * 4.0, 1e-12)
+    thr2 = HPReal.pow2(-e, precision)
+    thr2 = thr2 * thr2
+    for d in range(1, len(zs)):
+        near = False
+        for j, (a, b) in enumerate(zip(ranked, ranked[d:])):
+            # sorted, so |b - a| < band implies a real-part gap below it
+            if b.real - a.real < band:
+                near = True
+                if abs(b - a) < band:
+                    u, v = sorted((order[j], order[j + d]))
+                    if (zs[u] - zs[v]).abs2() <= thr2:
+                        return u, v
+        if not near:
+            break
+    return None
+
+
 def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     """All n solutions of z**n = c for c != 0, by Aberth's float stage and
-    a Newton finish per root."""
+    a Newton finish per root.  Roots closer than 2**k times the
+    distinctness floor, 2**k their scale, raise NoConvergence; the rest is
+    the package's: the order with the real band 2**k * contract_tol and the
+    residual bound over every root."""
     if c.is_zero():
         raise ZeroTarget("z**n = 0 has only the trivial root")
     _check_index(n, precision)
@@ -182,4 +225,9 @@ def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
         raise NoConvergence("target magnitude outside the supported range")
     floats, _ = float_stage(n, cf, 50 + 10 * n)
     zs = _newton(floats, c, n, k, precision)
-    return assemble_rootset(zs, c, n, precision)
+    pair = _collapsed_pair([_scale2(z, -k) for z in zs], n, precision)
+    if pair is not None:
+        raise NoConvergence(
+            f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
+    zs = _sort_roots(zs, contract_tol(precision).scale2(k))
+    return _bounded_rootset(zs, c, n, precision, zs)

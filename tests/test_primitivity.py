@@ -62,6 +62,12 @@ class TestOrder:
             multiplicative_order(HPComplex(HPReal.pow2(1000), HPReal.zero()), 4096)
         assert not calls
 
+    def test_index_below_one_is_invalid_n(self):
+        # n <= 0 has no divisor to scan; it fell through to NotARoot
+        for n in (0, -1, -4):
+            with pytest.raises(InvalidN):
+                multiplicative_order(HPComplex.one(), n)
+
     def test_wide_tolerance_still_forms_the_powers(self):
         # |3 - 1| = 2 and |3^2 - 1| = 8: within tol 8, and 8 > tol 7
         three = HPComplex.from_int(3)

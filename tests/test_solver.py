@@ -1,6 +1,7 @@
 import bisect
 import cmath
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,8 +12,8 @@ from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
 from unityroot import fixed, primitivity, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
 from unityroot.solver import (_csqrt, _sort_roots, _unity_layout, MAX_N,
-                              assemble_rootset, contract_tol, distinct_exp,
-                              newton_root, unity_powers)
+                              contract_tol, distinct_exp, newton_root,
+                              unity_powers)
 import aberth_oracle
 from conftest import exact, fresh
 
@@ -232,7 +233,8 @@ class TestBlockedRepulsion:
 
 
 class TestCollapsedPair:
-    """The sorted binary64 screen of _collapsed_pair against every pair."""
+    """The oracle's sorted binary64 screen, _collapsed_pair, against every
+    pair."""
 
     @staticmethod
     def every_pair(zs, n, precision):
@@ -303,7 +305,7 @@ class TestCollapsedPair:
                 zs = self.planted_set(rng, size, precision, inside)
                 found = self.every_pair(zs, size, precision)
                 assert len(found) <= 1
-                got = solver._collapsed_pair(zs, size, precision)
+                got = aberth_oracle._collapsed_pair(zs, size, precision)
                 assert found == ([] if got is None else [got]), (size, inside)
                 seen[bool(found)] += 1
         # the ulp below the floor collapses and the ulp above it does not
@@ -332,6 +334,9 @@ class TestBinomial:
     def test_zero_target_rejected(self):
         with pytest.raises(ZeroTarget):
             solve_binomial(HPComplex.zero(), 3)
+        # the check is newton_root's; it reached _csqrt(0) and divided by 0
+        with pytest.raises(ZeroTarget):
+            newton_root(HPComplex.zero(), 3, 128)
 
     def test_large_and_tiny_targets_reduce_cleanly(self):
         c = HPComplex(HPReal.pow2(100), HPReal.zero())
@@ -452,13 +457,13 @@ class TestFixedPointStage:
         assert len(rs.roots) == 2048
 
     def test_collapsed_pair_is_still_rejected(self):
+        # the oracle's screen, which its Aberth root sets still need
         rs = fresh(solve_unity, 12)
+        screen = aberth_oracle._collapsed_pair
         doubled = list(rs.roots[:11]) + [rs.roots[3]]
-        with pytest.raises(NoConvergence, match="collapsed"):
-            assemble_rootset(doubled, rs.target, 12, 128)
+        assert screen(doubled, 12, 128) == (3, 11)
         near = rs.roots[3] + HPComplex(HPReal.pow2(-40), HPReal.zero())
-        with pytest.raises(NoConvergence, match="collapsed"):
-            assemble_rootset(list(rs.roots[:11]) + [near], rs.target, 12, 128)
+        assert screen(list(rs.roots[:11]) + [near], 12, 128) == (3, 11)
 
     def test_newton_root_takes_a_bounded_number_of_kernel_steps(self, monkeypatch):
         # seeded from the linear phase the loop took ~0.7 n steps (94 at n = 128)
@@ -562,18 +567,12 @@ class TestSymmetricUnity:
         reps = list(rs.roots[:representatives(12)])
         layout = _unity_layout(reps, 12, 128)
         assert [bits(z) for z in layout] == [bits(z) for z in rs.roots]
-        floor = HPReal.pow2(-distinct_exp(12, 128))
-        quarter = floor.scale2(-2)
-        one = HPReal.one()
+        quarter = HPReal.pow2(-distinct_exp(12, 128) - 2)
         bad = [
-            # a duplicated representative
-            [reps[0], reps[0]],
             # within floor/2 of the real axis: its conjugate is within floor
             [HPComplex(reps[0].re, quarter), reps[1]],
             # within floor/2 of the imaginary axis: so is -conj(z)
             [reps[0], HPComplex(quarter, reps[1].im)],
-            # more than floor/2 off both axes, but within floor of 1
-            [HPComplex(one - quarter, floor * HPReal.from_ratio(3, 4)), reps[1]],
         ]
         for wrong in bad:
             with pytest.raises(NoConvergence, match="collapsed"):
@@ -624,6 +623,35 @@ class TestSymmetricUnity:
                 over.append((n, precision, list(refines), len(steps),
                              ladders.count(n), len(bounds)))
         assert not over
+
+    @pytest.mark.parametrize("precision", [32, 53, 128])
+    def test_region_margin_exceeds_the_distance_bound(self, precision):
+        # the premise of _unity_layout's proof, in exact rationals: at the
+        # residual target B of a unity set, 2**(1 - precision // 2), a
+        # representative lies within ((1 + B/(1 - B)) pi/2 + 1/(1 - B)) B/n
+        # < d = 4B/n of an exact root, d < floor/2, and consecutive exact
+        # roots are pinned by 4d + 2**(2 - precision) < 4/n
+        B = exact(contract_tol(precision).scale2(1))
+        assert (1 + B / (1 - B)) * Fraction(22, 7) / 2 + 1 / (1 - B) < 4
+        step = Fraction(1, 2 ** (precision - 2))
+        short = [n for n in range(1, MAX_N + 1)
+                 if not (4 * B / n < Fraction(1, 2 ** (distinct_exp(n, precision) + 1))
+                         and 16 * B / n + step < Fraction(4, n))]
+        assert not short
+
+    @pytest.mark.parametrize("ns,precision", [
+        ([32768], 32), ([32767], 32), ([4096], 53), (range(1, 301), 128)])
+    def test_unity_sets_are_distinct_without_a_screen(self, ns, precision):
+        # the conclusion of _unity_layout's proof, on real output: the
+        # oracle's screen finds no pair closer than the distinctness floor
+        close = [n for n in ns if aberth_oracle._collapsed_pair(
+            list(solve_unity(n, precision).roots), n, precision) is not None]
+        assert not close
+
+    def test_rotated_set_is_distinct_without_a_screen(self):
+        # |2|**(1/n) lies in [1, 2), so the roots' scale 2**k is 2**0
+        rs = solve_binomial(HPComplex.from_int(2, 32), 16383, 32)
+        assert aberth_oracle._collapsed_pair(list(rs.roots), 16383, 32) is None
 
     @pytest.mark.parametrize("precision", [32, 53, 128])
     def test_modulus_is_within_the_residual_bound(self, precision):

@@ -10,9 +10,11 @@ standard output, in order.  Run it on two checkouts to show that a change
 leaves the output byte-identical.  The groups are `verify`, `roots` and
 `zeta --certificate` for every n in 1..150, five `roots-of` targets, four
 `dft` inputs, `low-precision`: `verify` and `roots` at (n, precision) =
-(1024, 32) and (2048, 32), then `roots --n 32 --precision 33`, and
+(1024, 32) and (2048, 32), then `roots --n 32 --precision 33`,
 `zeta-precisions`: `zeta` at precisions 32, 53 and 256 for every n in 1..64
-and n = 4095, 4096.  `errors-and-text` runs every command once with
+and n = 4095, 4096, and `large-n`: `roots` at (n, precision) = (32768, 32),
+(32767, 32) and (16384, 128), and `roots-of 2` at (16383, 32), where the
+margins of the root sets are tightest.  `errors-and-text` runs every command once with
 `--format text`, then the error paths: invalid n (once more as text), m
 and precision, `roots-of` targets that are zero, malformed or out of
 range, `dft` inputs whose length disagrees with their `n` or with `--n`,
@@ -55,6 +57,10 @@ LOW_PRECISION = [(cmd, n, "32") for n in ("1024", "2048")
                  for cmd in ("verify", "roots")] + [("roots", "32", "33")]
 ZETA_PRECISIONS = [(str(n), precision) for precision in ("32", "53", "256")
                    for n in [*range(1, 65), 4095, 4096]]
+LARGE_N = [["roots", "--n", "32768", "--precision", "32"],
+           ["roots", "--n", "32767", "--precision", "32"],
+           ["roots", "--n", "16384"],
+           ["roots-of", "--n", "16383", "--c-re", "2", "--precision", "32"]]
 TEXT = [["roots", "--n", "5"], ["zeta", "--n", "12", "--certificate"],
         ["verify", "--n", "12"], ["order", "--n", "6", "--m", "5"],
         ["roots-of", "--n", "3", "--c-re", "-8", "--c-im", "1"]]
@@ -124,6 +130,7 @@ def _groups(tmp: str) -> dict:
         "zeta-precisions": [["zeta", "--n", n, "--precision", precision]
                             for n, precision in ZETA_PRECISIONS],
         "errors-and-text": _errors_and_text(tmp),
+        "large-n": LARGE_N,
     }
 
 
