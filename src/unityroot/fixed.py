@@ -6,9 +6,10 @@ once by a floor shift, so every operation here is a field operation or an
 integer square root on integers.  :func:`newton` is the package's one
 Newton loop: every root the solver returns is refined by it, omega of the
 unity solve included, whose :func:`powers` are every n-th root of unity the
-package uses.  The solver's residual bound and the certificate's descent
+package uses.  The solver's residual bounds and the certificate's descent
 (:func:`rotate_re`) and powers of zeta run on these helpers too, and round
-back to :class:`HPReal` once, at the end.
+back to :class:`HPReal` once, at the end; every upward bound on a power
+runs on one ladder, :func:`power_up`.
 
 Working at frac = precision + GUARD_BITS fraction bits leaves 64 bits below
 the last bit a result keeps, so a value whose error is a few units of
@@ -25,6 +26,9 @@ from .errors import DivisionByZero, NegativeSqrt, NoConvergence
 from .hpreal import HPReal, round_raw
 
 GUARD_BITS = 64
+# the scale 2**BOUND_BITS of the upward bounds on moduli and their powers
+# (modulus_bound, power_up)
+BOUND_BITS = 64
 
 
 def frac_bits(precision: int) -> int:
@@ -132,12 +136,42 @@ def powers(a: tuple, m: int, frac: int) -> list:
     return out
 
 
+def sqrt_up(v: int) -> int:
+    """ceil(sqrt(v)) for an integer v >= 0."""
+    r = math.isqrt(v)
+    return r + (r * r < v)
+
+
+def shift_up(v: int, s: int) -> int:
+    """v * 2**s for integers v >= 0 and s, rounded up."""
+    return v << s if s >= 0 else -(-v >> -s)
+
+
+def modulus_up(norm: int, frac: int) -> int:
+    """sqrt(norm) * 2**-frac times 2**BOUND_BITS, rounded up: the modulus of
+    a pair whose squared modulus, at 2 frac fraction bits, is norm."""
+    return sqrt_up(shift_up(norm, 2 * (BOUND_BITS - frac)))
+
+
 def modulus_bound(a: tuple, frac: int) -> int:
-    """W = max(1, |a|) of the pair a, times 2**64, rounded up."""
+    """W = max(1, |a|) of the pair a, times 2**BOUND_BITS, rounded up."""
     ar, ai = a
-    w2 = max(-(-(ar * ar + ai * ai) >> (2 * frac - 128)), 1 << 128)
-    w = math.isqrt(w2)
-    return w + (w * w < w2)
+    return max(modulus_up(ar * ar + ai * ai, frac), 1 << BOUND_BITS)
+
+
+def power_up(w: int, e: int) -> int:
+    """(w * 2**-BOUND_BITS)**e times 2**BOUND_BITS for w >= 0 and e >= 0,
+    rounded up: binary powering on integers at that scale with every product
+    rounded upward, so at or above the exact power.  Every bound on a power
+    in the package runs on this one ladder."""
+    if e == 0:
+        return 1 << BOUND_BITS
+    p = w
+    for bit in bin(e)[3:]:
+        p = -(-(p * p) >> BOUND_BITS)
+        if bit == "1":
+            p = -(-(p * w) >> BOUND_BITS)
+    return p
 
 
 def power_error(a: tuple, n: int, frac: int) -> int:
@@ -159,22 +193,15 @@ def power_error(a: tuple, n: int, frac: int) -> int:
     <= u W**(m - 1) / 2, and sqrt(2) + 1/2 < 2, which closes the step.
 
     The premise holds for every n < 2**47 at frac >= 96 (precision >= 32).
-    W**(n - 1) is evaluated on integers scaled by 2**64 with every rounding
-    upward, starting from :func:`modulus_bound`, so the value returned is at
-    or above the claimed bound.  It reads a only through that bound, so it
-    is shared by the roots of one set, whose moduli nearly agree: on the
-    unit circle, from 64 bits of precision on, the bound is 2**64 or
-    2**64 + 1.
+    W**(n - 1) is :func:`power_up` of :func:`modulus_bound`, both rounded
+    upward, so the value returned is at or above the claimed bound.  It
+    reads a only through W, and the solver calls it once per solve, on
+    omega's refined pair or on the principal root's.
     """
     if n <= 1:
         return 0
-    g = 64
-    w = p = modulus_bound(a, frac)
-    for bit in bin(n - 1)[3:]:
-        p = -(-(p * p) >> g)
-        if bit == "1":
-            p = -(-(p * w) >> g)
-    return -(-(2 * (n - 1) * p) >> g)
+    return shift_up(2 * (n - 1) * power_up(modulus_bound(a, frac), n - 1),
+                    -BOUND_BITS)
 
 
 def newton_step(y: tuple, c: tuple, n: int, frac: int) -> tuple:

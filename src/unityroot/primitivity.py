@@ -19,8 +19,10 @@ from .solver import contract_tol, solve_binomial
 
 
 def _divisors(n: int) -> list:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """The divisors of n >= 1 in ascending order, each d <= sqrt(n) paired
+    with n // d: sqrt(n) trial divisions, not n."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def is_prime(n: int) -> bool:

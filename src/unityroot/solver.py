@@ -28,8 +28,12 @@ the seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots,
 which keeps them distinct, and orders and bounds the set relative to the
 roots' power-of-two scale.  No root set is screened for close pairs: each
 is distinct by construction.  The residual bound of every root set is a
-proven upper bound evaluated in the same kernel.  Every stage is a pure
-function of (c, n, precision), so repeated calls are bit-identical.
+proven upper bound derived from that structure (:func:`_structural_bound`):
+each root is held, on exact integers, against its ideal pair, a power of
+omega's refined pair times the principal root's, and one ladder of degree
+n per solve bounds the ideal pairs' own residuals, where a bound root by
+root took one ladder per root.  Every stage is a pure function of
+(c, n, precision), so repeated calls are bit-identical.
 
 Every solve accepts 1 <= n <= MAX_N (:func:`_check_index`).  Only field
 operations and square roots are used in every stage.
@@ -46,8 +50,8 @@ from .hpcomplex import HPComplex
 from .hpreal import HPReal
 
 # the largest n any solve accepts.  Every solve is close to linear in n
-# (cold, solve_binomial(2, 16383) takes about a second), so cost does not
-# set it; it stays until the certificate holds past it at every precision:
+# (cold, solve_binomial(2, 16383) takes about half a second), so cost does
+# not set it; it stays until the certificate holds past it at every precision:
 # at 32 bits, `verify` fails its arc exclusion from about n = 6100 already.
 # Odd-n zeta solves at 2n, so `verify --n 16383` stays legal.
 MAX_N = 32768
@@ -158,6 +162,13 @@ def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     enters exactly, c / 2**(k n) truncated below 2**-frac), and each
     component of the root is rounded once at the end.
     """
+    return _principal(c, n, precision)[0]
+
+
+def _principal(c: HPComplex, n: int, precision: int) -> tuple:
+    """(z0, a, frac): z0 the principal root :func:`newton_root` returns,
+    and a the pair Newton returned for it, the root of c / 2**(k n) at frac
+    fraction bits, before z0 = a 2**k was rounded."""
     if c.is_zero():
         raise ZeroTarget("z**n = 0 has only the trivial root")
     _check_index(n, precision)
@@ -168,43 +179,47 @@ def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     frac = fixed.frac_bits(precision)
     yr, yi = fixed.newton(_pair(HPComplex.from_float(seed, 53), frac),
                           _pair(c, frac - k * n), n, frac)
-    return HPComplex(fixed.to_hpreal(yr, frac - k, precision),
-                     fixed.to_hpreal(yi, frac - k, precision))
+    z0 = HPComplex(fixed.to_hpreal(yr, frac - k, precision),
+                   fixed.to_hpreal(yi, frac - k, precision))
+    return z0, (yr, yi), frac
 
 
-def _residual_bound(zs: list, c: HPComplex, n: int, k: int,
-                    precision: int) -> HPReal:
-    """A proven upper bound on |z**n - c| over the roots zs, rounded upward.
+def _structural_bound(n: int, frame: tuple, dev: int, frac: int, a: int,
+                      rho: int, cmag: int) -> int:
+    """N with |y**n - c'| <= N * 2**-(frac + BOUND_BITS) for every root y of
+    a set built on one unity frame: y lies near A t, where t is an exact
+    power y_1**k of omega's refined pair y_1, a sign flip of one or an exact
+    axis root, and A is a pair with |A**n - c'| <= rho.
 
-    Write y = z / 2**k and c' = c / 2**(k n), so |z**n - c| = 2**(k n)
-    |y**n - c'|.  Both enter the fixed-point kernel exactly: frac starts at
-    precision + 64 and is raised until every component of every y and of c'
-    is a multiple of 2**-frac.  With P = fixed.power(y, n) and all values
-    in units of 2**-frac,
+    The frame (fu, y_1, Wm, e, tau) of :func:`_unity` gives the ideal pairs
+    T (:func:`_ideal_pairs`) at fu fraction bits, one per root of unity in
+    the documented order, with |T - t| <= e and |t**n - 1| <= tau for an
+    exact t of modulus at most Wm (e, tau in units 2**-fu, Wm at scale
+    2**BOUND_BITS).  dev = max |y - A T|**2 over the set, exact at 2 frac
+    fraction bits; a >= |A| at scale 2**BOUND_BITS; rho and cmag >= |c'| in
+    units 2**-frac.  Then |y - A t| <= |y - A T| + |A| e <= eta with
 
-        |y**n - c'| <= |P - c'| + |P - y**n|
-                    <= ceil(sqrt(|P - c'|**2)) + fixed.power_error(y, n),
+        eta = sqrt(dev) + |A| e,
 
-    where |P - c'|**2 is an exact integer and the second term is the
-    kernel's proven bound on its own power (derived in
-    :func:`fixed.power_error`, once per distinct fixed.modulus_bound).  The
-    largest such integer N over the roots gives
-    |z**n - c| <= N * 2**(k n - frac), which is rounded upward once.
+    |A t| <= |A| Wm and |y| <= |A t| + eta, so
+
+        |y**n - c'| <= |y**n - (A t)**n| + |A**n| |t**n - 1| + |A**n - c'|
+                    <= n eta (|A| Wm + eta)**(n - 1) + (|c'| + rho) tau + rho,
+
+    the first term by |u**n - v**n| <= n |u - v| max(|u|, |v|)**(n - 1),
+    the others as |A**n| <= |c'| + rho.  Each root is held against its own
+    ideal pair, so the rounding of A, of the unity roots and of the
+    products adds up root by root, as in the exact residual, not as a sum
+    of maxima over the set.  The square root is rounded up and the power is
+    :func:`unityroot.fixed.power_up`, so N is at or above the bound.  No
+    ladder of degree n runs here.
     """
-    scaled = [_scale2(c, -k * n)] + [_scale2(z, -k) for z in zs]
-    frac, parts = fixed.lift([v for z in scaled for v in (z.re, z.im)],
-                             fixed.frac_bits(precision))
-    cr, ci = parts[:2]
-    worst, errors = 0, {}
-    for y in zip(parts[2::2], parts[3::2]):
-        pr, pi = fixed.power(y, n, frac)
-        norm = (pr - cr) ** 2 + (pi - ci) ** 2
-        r = math.isqrt(norm)
-        w = fixed.modulus_bound(y, frac)
-        if w not in errors:
-            errors[w] = fixed.power_error(y, n, frac)
-        worst = max(worst, r + (r * r < norm) + errors[w])
-    return fixed.to_hpreal_up(worst, frac - k * n, precision)
+    fu, _, wm, e, tau = frame
+    g = fixed.BOUND_BITS
+    eta = fixed.sqrt_up(dev) + fixed.shift_up(a * e, frac - fu - g)
+    big = fixed.shift_up(a * wm, -g) + fixed.shift_up(eta, g - frac)
+    return (n * eta * fixed.power_up(big, n - 1)
+            + fixed.shift_up((cmag + rho) * tau, g - fu) + (rho << g))
 
 
 def distinct_exp(n: int, precision: int) -> int:
@@ -235,13 +250,11 @@ def _sort_roots(zs: list, band: HPReal) -> list:
 
 
 def _bounded_rootset(zs: list, c: HPComplex, n: int, precision: int,
-                     covering: list) -> RootSet:
-    """The RootSet of the ordered roots zs, with the residual bound taken
-    over `covering`, roots whose residuals cover every root of zs; the bound
-    must be at most 2**((top + 1) // 2) * contract_tol, about
+                     bound: HPReal) -> RootSet:
+    """The RootSet of the ordered roots zs with the residual bound `bound`,
+    which must be at most 2**((top + 1) // 2) * contract_tol, about
     |c| * 2**(-precision/2)."""
-    top, k = _root_scale(c, n)
-    bound = _residual_bound(covering, c, n, k, precision)
+    top, _ = _root_scale(c, n)
     if bound > contract_tol(precision).scale2((top + 1) // 2):
         raise NoConvergence(
             f"residual bound {bound.to_float():.3g} above target for n={n}")
@@ -267,16 +280,31 @@ def _unity_seed(n: int) -> complex:
     return _pow_frac(-1 + 0j, 2 if n > 1 else 0, n)
 
 
-def _unity_layout(reps: list, n: int, precision: int) -> list:
-    """All n roots of z**n = 1 in the documented order, built from the
-    representatives R sorted by descending real part:
+def _layout(reps: list, one, zero, n: int) -> list:
+    """All n roots of z**n = 1 in the documented order as (re, im) pairs,
+    built from the representatives' pairs R sorted by descending real part:
 
         even n:  R, [i], reversed(-conj R), 1, -1, conj R, [-i], reversed(-R)
         odd n:   R, 1, conj R
 
-    ([+-i] when 4 | n).  The signs of the components place each part in its
-    half plane and quadrant, and the flips keep or reverse the order of the
-    real parts, so this is the order :func:`_sort_roots` gives.
+    ([+-i] when 4 | n), with 1 = (one, zero) and i = (zero, one).  The
+    signs of the components place each part in its half plane and
+    quadrant, and the flips keep or reverse the order of the real parts, so
+    this is the order :func:`_sort_roots` gives.  The components may be
+    HPReals or integers: only negation is applied."""
+    flips = [(-x, -y) for x, y in reps]
+    conj = [(x, y) for (x, _), (_, y) in zip(reps, flips)]
+    if n % 2:
+        return reps + [(one, zero)] + conj
+    mirror = [(x, y) for (_, y), (x, _) in zip(reps, flips)]
+    mid = [(zero, one)] if n % 4 == 0 else []
+    return (reps + mid + mirror[::-1] + [(one, zero), (-one, -zero)] + conj
+            + [(-x, -y) for x, y in mid] + flips[::-1])
+
+
+def _unity_layout(reps: list, n: int, precision: int) -> list:
+    """All n roots of z**n = 1 in the documented order (:func:`_layout`),
+    built from the representatives R, once they pass the region check.
 
     The one check is the region: Im z > floor/2 for each z in R, and also
     Re z > floor/2 for even n, floor = 2**-distinct_exp(n, precision).
@@ -302,22 +330,78 @@ def _unity_layout(reps: list, n: int, precision: int) -> list:
 
     Each flip of R and each exact axis root then lies as near to its own
     root of the other quadrants and axes, so any two of the n roots lie at
-    least 4/n - 2d > floor apart.
+    least 4/n - 2d > floor apart.  A representative outside the region
+    raises NoConvergence naming it and the region.
     """
-    one = HPComplex.one(precision)
-    half = HPReal.pow2(-distinct_exp(n, precision) - 1, precision)
-    for z in reps:
+    margin = distinct_exp(n, precision) + 1
+    half = HPReal.pow2(-margin, precision)
+    region = "upper half plane" if n % 2 else "open first quadrant"
+    for j, z in enumerate(reps, 1):
         if not (z.im > half and (n % 2 or z.re > half)):
             raise NoConvergence(
-                "a root and its mirror image collapsed below the distinctness floor")
-    flips = [(-z.re, -z.im) for z in reps]
-    conj = [HPComplex(z.re, y) for z, (_, y) in zip(reps, flips)]
-    if n % 2:
-        return reps + [one] + conj
-    mirror = [HPComplex(x, z.im) for z, (x, _) in zip(reps, flips)]
-    mid = [HPComplex.i(precision)] if n % 4 == 0 else []
-    return (reps + mid + mirror[::-1] + [one, -one] + conj + [-z for z in mid]
-            + [HPComplex(x, y) for x, y in reversed(flips)])
+                f"representative omega**{j} of z**{n} = 1 is not in the "
+                f"{region} (margin 2**-{margin})")
+    pairs = _layout([(z.re, z.im) for z in reps], HPReal.one(precision),
+                    HPReal.zero(precision), n)
+    # the layout opens with R itself
+    return reps + [HPComplex(x, y) for x, y in pairs[len(reps):]]
+
+
+def _representatives(n: int) -> int:
+    """m, the number of representatives of the n-th roots of unity: the
+    ceil(n/4) - 1 roots of the open first quadrant for even n, the
+    (n - 1)/2 of the upper half plane for odd n."""
+    return (n + 3) // 4 - 1 if n % 2 == 0 else (n - 1) // 2
+
+
+def _ideal_pairs(frame: tuple, n: int) -> list:
+    """The ideal pairs T of the frame, one per n-th root of unity in the
+    documented order: :func:`_layout` of omega's fixed-point powers
+    P_k = fixed.powers(y, m)[k], recomputed from y bit for bit.  The cache
+    keeps y alone; holding the m pairs there grew the resident memory of a
+    run of cold solves by half a megabyte."""
+    fu, y = frame[:2]
+    return _layout(fixed.powers(y, _representatives(n), fu)[1:], 1 << fu, 0, n)
+
+
+def _unity(n: int, precision: int) -> tuple:
+    """(solve_unity(n, precision), frame), cached: the frame (fu, y, Wm, e,
+    tau) of :func:`_structural_bound`, omega's refined pair y at fu fraction
+    bits with the bounds on its powers, which bounds the set and every set
+    rotated from it."""
+    if (n, precision) in _unity_cache:
+        return _unity_cache[(n, precision)]
+    _check_index(n, precision)
+    m = _representatives(n)
+    g, frac, y, powers = fixed.BOUND_BITS, fixed.frac_bits(precision), None, []
+    wm, e, tau = 1 << g, 0, 0
+    if m:
+        seed = HPComplex.from_float(_unity_seed(n), 53)
+        frac, y = fixed.lift((seed.re, seed.im), frac)
+        y = fixed.newton(tuple(y), (1 << frac, 0), n, frac)
+        powers = fixed.powers(y, m, frac)[1:]
+        wm = fixed.power_up(fixed.modulus_bound(y, frac), m)
+        e = fixed.shift_up(2 * m * wm, -g)
+        qr, qi = fixed.power(y, n, frac)
+        eps = (fixed.sqrt_up((qr - (1 << frac)) ** 2 + qi * qi)
+               + fixed.power_error(y, n, frac))
+        tau = fixed.shift_up(m * eps * fixed.power_up(
+            (1 << g) + fixed.shift_up(eps, g - frac), m - 1), -g)
+    reps = [HPComplex(fixed.to_hpreal(re, frac, precision),
+                      fixed.to_hpreal(im, frac, precision))
+            for re, im in powers]
+    roots = _unity_layout(reps, n, precision)
+    dev = max(((fixed.to_fixed(z.re, frac) - pr) ** 2
+               + (fixed.to_fixed(z.im, frac) - pi) ** 2
+               for z, (pr, pi) in zip(reps, powers)), default=0)
+    frame = (frac, y, wm, e, tau)
+    bound = fixed.to_hpreal_up(
+        _structural_bound(n, frame, dev, frac, 1 << g, 0, 1 << frac),
+        frac + g, precision)
+    out = (_bounded_rootset(roots, HPComplex.one(precision), n, precision,
+                            bound), frame)
+    _unity_cache[(n, precision)] = out
+    return out
 
 
 def solve_unity(n: int, precision: int = 128) -> RootSet:
@@ -325,8 +409,8 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
 
     No simultaneous solve runs.  The binary64 seed of omega = e^(2 pi i/n)
     (:func:`_unity_seed`) enters the fixed-point kernel exactly and is
-    refined on z**n = 1 by :func:`unityroot.fixed.newton`, and the
-    representatives are its powers omega, ..., omega**m from
+    refined on z**n = 1 by :func:`unityroot.fixed.newton` to the pair y,
+    and the representatives z_k are its powers P_k = y**k, k = 1..m, from
     :func:`unityroot.fixed.powers`, each component rounded once: the
     m = ceil(n/4) - 1 roots of the open first quadrant for even n, the
     m = (n - 1)/2 of the upper half plane for odd n, by descending real
@@ -340,9 +424,24 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     would put some power outside that region and raise NoConvergence.
 
     The residual bound is at most 2**(-precision/2), a proven upper bound
-    over every root although it is evaluated on the representatives only:
+    over every root although it is derived for the representatives only:
     |conj(z)**n - 1| = |conj(z**n - 1)| = |z**n - 1|, for even n
-    |(-z)**n - 1| = |z**n - 1|, and an exact axis root has residual 0.
+    |(-z)**n - 1| = |z**n - 1|, and an exact axis root has residual 0.  It
+    is :func:`_structural_bound` with A = 1, so rho = 0 and |c'| = 1, over
+    the frame of omega's powers: in units u = 2**-frac and with
+    W = max(1, |y|), each P_k lies within sqrt(2) k u W**(k - 1)
+    <= e = 2 m u W**m of y**k (derived in :func:`unityroot.fixed.powers`),
+    |y**k| <= Wm = W**m, and
+
+        |(y**k)**n - 1| = |(1 + t)**k - 1| <= k |t| (1 + |t|)**(k - 1)
+                        <= tau = m eps (1 + eps)**(m - 1),
+
+    t = y**n - 1, with eps = |Q - 1| + fixed.power_error(y, n) >= |t| from
+    Q = fixed.power(y, n), the one ladder of degree n in the bound.
+    Rounding a component to `precision` bits only drops bits below u, so
+    z_k is a multiple of u and z_k - P_k is exact.  The bound reads
+    |z_k**n - 1| <= n eta (Wm + eta)**(n - 1) + tau with
+    eta = max_k |z_k - P_k| + e, each term rounded upward.
 
     The bound also keeps every root near the unit circle, so no separate
     check is needed.  For n >= 2 and r = |z|,
@@ -355,23 +454,7 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     representative, and with it every flip, has | |z| - 1 | <= | |z|**2 - 1 |
     <= residual_bound.  At n = 1 the set is {1}.
     """
-    if (n, precision) in _unity_cache:
-        return _unity_cache[(n, precision)]
-    _check_index(n, precision)
-    want = (n + 3) // 4 - 1 if n % 2 == 0 else (n - 1) // 2
-    reps = []
-    if want:
-        seed = HPComplex.from_float(_unity_seed(n), 53)
-        frac, y = fixed.lift((seed.re, seed.im), fixed.frac_bits(precision))
-        y = fixed.newton(tuple(y), (1 << frac, 0), n, frac)
-        reps = [HPComplex(fixed.to_hpreal(re, frac, precision),
-                          fixed.to_hpreal(im, frac, precision))
-                for re, im in fixed.powers(y, want, frac)[1:]]
-    one = HPComplex.one(precision)
-    out = _bounded_rootset(_unity_layout(reps, n, precision), one, n,
-                           precision, reps)
-    _unity_cache[(n, precision)] = out
-    return out
+    return _unity(n, precision)[0]
 
 
 def unity_powers(rootset: RootSet) -> tuple:
@@ -397,7 +480,17 @@ def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     :func:`newton_root` (which also checks c and n), and it is rotated by
     the n roots w_i of solve_unity(n), one rounded product each.  The set
     is ordered with the real band 2**k * contract_tol, 2**k the roots'
-    scale, and bounded over every root by :func:`_bounded_rootset`.
+    scale.
+
+    The residual bound comes from the rotation's structure
+    (:func:`_structural_bound`), with one ladder of degree n.  Write
+    y = z / 2**k and c' = c / 2**(k n), so |z**n - c| = 2**(k n)
+    |y**n - c'|.  c' and every y_i enter the fixed-point kernel exactly at
+    frac >= precision + 64 fraction bits; A, Newton's pair for z0 / 2**k
+    before rounding, and the unity frame's ideal pairs T_i enter exactly,
+    so y_i - A T_i is exact.  rho = |Q - c'| + fixed.power_error(A, n)
+    >= |A**n - c'|, Q = fixed.power(A, n), and the sum is rounded upward
+    once.
 
     The rotation keeps the set distinct: the w_i lie at least
     (4/n)(1 - eps) apart (:func:`_unity_layout`), eps also covering the
@@ -408,8 +501,26 @@ def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     floor = 2**-distinct_exp(n, precision) < 1/(2n).
     """
     c = HPComplex(c.re.with_precision(precision), c.im.with_precision(precision))
-    z0 = newton_root(c, n, precision)
+    z0, a, fa = _principal(c, n, precision)
     _, k = _root_scale(c, n)
-    roots = _sort_roots([z0 * w for w in solve_unity(n, precision).roots],
-                        contract_tol(precision).scale2(k))
-    return _bounded_rootset(roots, c, n, precision, roots)
+    unity, frame = _unity(n, precision)
+    roots = [z0 * w for w in unity.roots]
+    scaled = [_scale2(c, -k * n)] + [_scale2(z, -k) for z in roots]
+    frac, parts = fixed.lift([v for z in scaled for v in (z.re, z.im)], fa)
+    fu = frame[0]
+    ar, ai = a[0] << (frac - fa), a[1] << (frac - fa)
+    dev = max(((yr << fu) - ar * tr + ai * ti) ** 2
+              + ((yi << fu) - ar * ti - ai * tr) ** 2
+              for yr, yi, (tr, ti) in zip(parts[2::2], parts[3::2],
+                                          _ideal_pairs(frame, n)))
+    cr, ci = parts[:2]
+    qr, qi = fixed.power((ar, ai), n, frac)
+    rho = (fixed.sqrt_up((qr - cr) ** 2 + (qi - ci) ** 2)
+           + fixed.power_error((ar, ai), n, frac))
+    total = _structural_bound(
+        n, frame, dev, frac + fu, fixed.modulus_up(ar * ar + ai * ai, frac),
+        rho << fu, fixed.sqrt_up(cr * cr + ci * ci) << fu)
+    bound = fixed.to_hpreal_up(total, frac + fu + fixed.BOUND_BITS - k * n,
+                               precision)
+    return _bounded_rootset(_sort_roots(roots, contract_tol(precision).scale2(k)),
+                            c, n, precision, bound)

@@ -12,9 +12,11 @@ give all n roots.  The settled estimates seed the package's fixed-point
 Newton loop, one root at a time.  Nothing in that construction keeps two
 estimates from reaching one root, so the set is screened for pairs closer
 than the distinctness floor (:func:`_collapsed_pair`) before the package's
-order and residual bound are applied.  The package's own root sets need no
-such screen, being distinct by construction; the tests also run it on them
-to confirm that.  Every stage is a pure function of (c, n, precision), so
+order is applied, and bounded root by root (:func:`per_root_bound`).  The
+package's own root sets need no such screen, being distinct by
+construction, and are bounded from their structure; the tests also run the
+screen on them to confirm the one, and hold their bounds against
+:func:`per_root_bound` for the other.  Every stage is a pure function of (c, n, precision), so
 repeated calls are bit-identical.
 
 The sweeps run on z**m = c from the rotation seeds u, u^2, ..., u^m,
@@ -38,6 +40,46 @@ from unityroot.hpreal import HPReal
 from unityroot.solver import (RootSet, _bounded_rootset, _check_index, _csqrt,
                               _pair, _root_scale, _scale2, _sort_roots,
                               contract_tol, distinct_exp)
+
+
+def per_root_bound(zs: list, c: HPComplex, n: int, precision: int) -> HPReal:
+    """A proven upper bound on |z**n - c| over the roots zs, evaluated root
+    by root and rounded upward: one ladder per root.  The package bounds
+    its root sets from their structure instead; this is the oracle the
+    tests hold those bounds against, and the bound of this module's own
+    root sets, which have no such structure.
+
+    Write y = z / 2**k and c' = c / 2**(k n), 2**k the roots' scale, so
+    |z**n - c| = 2**(k n) |y**n - c'|.  Both enter the fixed-point kernel
+    exactly: frac starts at precision + 64 and is raised until every
+    component of every y and of c' is a multiple of 2**-frac.  With
+    P = fixed.power(y, n) and all values in units of 2**-frac,
+
+        |y**n - c'| <= |P - c'| + |P - y**n|
+                    <= ceil(sqrt(|P - c'|**2)) + fixed.power_error(y, n),
+
+    where |P - c'|**2 is an exact integer and the second term is the
+    kernel's proven bound on its own power (derived in
+    :func:`fixed.power_error`, once per distinct fixed.modulus_bound).  The
+    largest such integer N over the roots gives
+    |z**n - c| <= N * 2**(k n - frac), which is rounded upward once.
+    """
+    _, k = _root_scale(c, n)
+    scaled = [_scale2(c, -k * n)] + [_scale2(z, -k) for z in zs]
+    frac, parts = fixed.lift([v for z in scaled for v in (z.re, z.im)],
+                             fixed.frac_bits(precision))
+    cr, ci = parts[:2]
+    worst, errors = 0, {}
+    for y in zip(parts[2::2], parts[3::2]):
+        pr, pi = fixed.power(y, n, frac)
+        # power_error reads y only through its modulus bound
+        w = fixed.modulus_bound(y, frac)
+        if w not in errors:
+            errors[w] = fixed.power_error(y, n, frac)
+        worst = max(worst, fixed.sqrt_up((pr - cr) ** 2 + (pi - ci) ** 2)
+                    + errors[w])
+    return fixed.to_hpreal_up(worst, frac - k * n, precision)
+
 
 _SEED = complex(0.4, 0.9)
 _ROTATION = _SEED / abs(_SEED)
@@ -211,9 +253,9 @@ def _collapsed_pair(zs: list, n: int, precision: int):
 def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     """All n solutions of z**n = c for c != 0, by Aberth's float stage and
     a Newton finish per root.  Roots closer than 2**k times the
-    distinctness floor, 2**k their scale, raise NoConvergence; the rest is
-    the package's: the order with the real band 2**k * contract_tol and the
-    residual bound over every root."""
+    distinctness floor, 2**k their scale, raise NoConvergence; the order is
+    the package's, with the real band 2**k * contract_tol, and the residual
+    bound is :func:`per_root_bound` over every root."""
     if c.is_zero():
         raise ZeroTarget("z**n = 0 has only the trivial root")
     _check_index(n, precision)
@@ -230,4 +272,5 @@ def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
         raise NoConvergence(
             f"roots {pair[0]} and {pair[1]} collapsed below the distinctness floor")
     zs = _sort_roots(zs, contract_tol(precision).scale2(k))
-    return _bounded_rootset(zs, c, n, precision, zs)
+    return _bounded_rootset(zs, c, n, precision,
+                            per_root_bound(zs, c, n, precision))

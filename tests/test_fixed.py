@@ -59,6 +59,19 @@ def test_error_bound_grows_with_n_and_modulus():
     assert fixed.power_error((2 * ONE, 0), 300, FRAC) > small << 298
 
 
+def test_power_up_is_an_upper_bound():
+    # the one upward ladder, against the exact power of w * 2**-64: at or
+    # above it, and above it by a few units of 2**-64 per step at most
+    scale = 1 << fixed.BOUND_BITS
+    for w in (0, 1, scale - 1, scale, scale + 1, 3 * scale // 2, 2 * scale,
+              scale + (scale >> 20)):
+        for e in (0, 1, 2, 3, 7, 64, 255, 4096, 32767):
+            got = fixed.power_up(w, e)
+            want = Fraction(w, scale) ** e
+            slack = Fraction(4 * e + 1, scale)
+            assert want <= Fraction(got, scale) <= want * (1 + slack) + slack, (w, e)
+
+
 def test_to_fixed_exact_and_truncating():
     x = HPReal.from_ratio(-5, 3)
     f = fixed.exact_frac(x, 10)

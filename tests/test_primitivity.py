@@ -8,6 +8,7 @@ from unityroot import (HPComplex, HPReal, InvalidM, InvalidN,
                        gcd_primitivity, is_prime, multiplicative_order,
                        prime_shortcut, roots_of, solve_binomial, solve_unity)
 from unityroot import fixed
+from unityroot.primitivity import _divisors
 import aberth_oracle
 
 
@@ -67,6 +68,15 @@ class TestOrder:
         for n in (0, -1, -4):
             with pytest.raises(InvalidN):
                 multiplicative_order(HPComplex.one(), n)
+
+    def test_divisors_pair_each_small_divisor_with_its_cofactor(self):
+        # d <= sqrt(n) paired with n // d, against the scan of 1..n
+        for n in range(1, 3001):
+            assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+    def test_order_at_a_large_index(self):
+        # the scan of 1..n took about a minute at n = 10**9
+        assert multiplicative_order(HPComplex.one(), 10 ** 9).order == 1
 
     def test_wide_tolerance_still_forms_the_powers(self):
         # |3 - 1| = 2 and |3^2 - 1| = 8: within tol 8, and 8 > tol 7

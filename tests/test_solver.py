@@ -320,9 +320,15 @@ class TestBinomial:
         as_set_match(list(rs.roots), want, HPReal.pow2(-120))
 
     def test_unity_target_agrees_with_solve_unity(self):
-        a = solve_binomial(HPComplex.one(), 6)
-        b = fresh(solve_unity, 6)
-        assert a.bit_identical(b)
+        # z0 = 1 rotates exactly, so the roots are solve_unity's bit for bit;
+        # the bounds differ only by the principal root's term rho, which
+        # carries fixed.power_error(1, n), 2 (n - 1) units of 2**-192
+        for n in (3, 6, 12, 100):
+            a = solve_binomial(HPComplex.one(), n)
+            b = fresh(solve_unity, n)
+            assert [bits(z) for z in a.roots] == [bits(z) for z in b.roots]
+            gap = abs(exact(a.residual_bound) - exact(b.residual_bound))
+            assert gap <= exact(b.residual_bound) / 2 ** 60
 
     def test_square_roots_of_i(self):
         # (x+iy)^2 = i by hand: x = y = sqrt(1/2)
@@ -511,6 +517,71 @@ class TestFixedPointStage:
         assert solve_binomial(c, 20).bit_identical(solve_binomial(c, 20))
 
 
+# the structural residual bounds against the per-root oracle: n = 1..300
+# and the sizes where the margins are tightest
+STRUCTURE_NS = list(range(1, 301)) + [1024, 4095, 4096, 16383, 16384, 32767,
+                                      32768]
+
+
+class TestStructuralBound:
+    @pytest.mark.parametrize("precision", [32, 53, 128])
+    def test_within_the_per_root_oracle(self, precision):
+        # the bound of every root set is at most the oracle's, one ladder
+        # per root, times 2**(1/16) for solve_unity (over its representatives,
+        # whose residuals cover the flips) and times 2 for solve_binomial
+        loose = []
+        two = HPComplex.from_int(2, 0, precision)
+        for n in STRUCTURE_NS:
+            unity = solve_unity(n, precision)
+            reps = list(unity.roots[:representatives(n)])
+            got = exact(unity.residual_bound)
+            want = exact(aberth_oracle.per_root_bound(reps, unity.target, n,
+                                                      precision))
+            if got ** 16 > 2 * want ** 16:
+                loose.append(("unity", n, float(got / want)))
+            rs = solve_binomial(two, n, precision)
+            got = exact(rs.residual_bound)
+            want = exact(aberth_oracle.per_root_bound(list(rs.roots), two, n,
+                                                      precision))
+            if got > 2 * want:
+                loose.append(("binomial", n, float(got / want)))
+        assert not loose
+
+    @pytest.mark.parametrize("precision", [32, 53, 128])
+    def test_covers_the_exact_residuals(self, precision):
+        # a deterministic sample of the roots of each set, against their
+        # exact residuals: eight roots of each set up to n = 300, two above.
+        # An exact power of degree 32768 at 128 bits takes seconds, so past
+        # n = 4096 only 32 bits runs, with c = 2: -7 + 3i has no 32-bit root
+        # set from n = 32767 on, as the residual of a rounded root, about
+        # |c| n 2**-precision, outgrows the target |c| 2**-(precision/2)
+        # with any bound
+        short = []
+        for n in STRUCTURE_NS:
+            if n > 4096 and precision > 32:
+                continue
+            c = HPComplex.from_int(*((-7, 3) if n <= 4096 else (2, 0)),
+                                   precision)
+            step = max(1, n // (8 if n <= 300 else 2))
+            for rs in (solve_unity(n, precision),
+                       solve_binomial(c, n, precision)):
+                if not all(residual_within(z, rs.target, n, rs.residual_bound)
+                           for z in rs.roots[::step]):
+                    short.append((n, rs.is_unity))
+        assert not short
+
+    def test_tight_margins_at_32_bits(self):
+        # little room: roots_of(2, 32768, 32) has the bound
+        # 2**-15.01 against its target 2**-14, roots_of(2, 16383, 32)
+        # 2**-16.01 and solve_unity(32768, 32) 2**-17.51 against 2**-15; a
+        # bound above target raises NoConvergence
+        two = HPComplex.from_int(2, 0, 32)
+        for rs, target in ((roots_of(two, 32768, 32), Fraction(1, 2 ** 14)),
+                           (roots_of(two, 16383, 32), Fraction(1, 2 ** 14)),
+                           (fresh(solve_unity, 32768, 32), Fraction(1, 2 ** 15))):
+            assert exact(rs.residual_bound) < target
+
+
 def bits(z):
     return tuple((v.sign, v.mantissa, v.exponent) for v in (z.re, z.im))
 
@@ -575,14 +646,27 @@ class TestSymmetricUnity:
             [reps[0], HPComplex(quarter, reps[1].im)],
         ]
         for wrong in bad:
-            with pytest.raises(NoConvergence, match="collapsed"):
+            with pytest.raises(NoConvergence,
+                               match="not in the open first quadrant"):
                 _unity_layout(wrong, 12, 128)
 
-    def test_one_refinement_and_one_bound_per_representative(self, monkeypatch):
-        # the residual bound runs on the representatives, not on all n roots:
-        # one ladder fixed.power(y, n) each, and fixed.power_error once per
-        # distinct fixed.modulus_bound, which on the unit circle takes at
-        # most two values (2**64, 2**64 + 1) from 64 bits of precision on
+    @pytest.mark.parametrize("n,j,region", [
+        (12, 1, "open first quadrant"), (7, 1, "upper half plane")])
+    def test_region_failure_names_the_representative(self, monkeypatch, n, j,
+                                                     region):
+        # the conjugate seed puts every power in the lower half plane, a
+        # unit or more from the other roots: nothing collapsed
+        monkeypatch.setattr(solver, "_unity_seed", trig_seed(-1))
+        with pytest.raises(NoConvergence,
+                           match=rf"omega\*\*{j} of z\*\*{n} = 1 is not in "
+                                 rf"the {region}"):
+            fresh(solve_unity, n)
+
+    def test_one_ladder_of_degree_n_per_solve(self, monkeypatch):
+        # the residual bounds come from the sets' structure: one ladder
+        # fixed.power(., n) and one fixed.power_error per solve, where a
+        # bound root by root took one of each per representative or root;
+        # Newton runs on omega alone, a few steps from the binary64 seed
         refines, steps, ladders, bounds = [], [], [], []
         refine, step = fixed.newton, fixed.newton_step
         ladder, error = fixed.power, fixed.power_error
@@ -614,13 +698,17 @@ class TestSymmetricUnity:
             for counts in (refines, steps, ladders, bounds):
                 counts.clear()
             fresh(solve_unity, n, precision)
-            reps = representatives(n)
-            errors = min(reps, 2) if precision >= 64 else reps
-            # Newton runs on omega alone: a few steps from the binary64 seed
-            if (refines != [n] * min(reps, 1) or len(steps) > 3 * len(refines)
-                    or ladders.count(n) != reps
-                    or not min(reps, 1) <= len(bounds) <= errors):
-                over.append((n, precision, list(refines), len(steps),
+            one = min(representatives(n), 1)
+            if (refines != [n] * one or len(steps) > 3 * len(refines)
+                    or ladders.count(n) != one or bounds != [n] * one):
+                over.append(("unity", n, precision, list(refines), len(steps),
+                             ladders.count(n), len(bounds)))
+            # with the unity set cached: the principal root's ladder alone
+            for counts in (refines, ladders, bounds):
+                counts.clear()
+            solve_binomial(HPComplex.from_int(2, 0, precision), n, precision)
+            if refines != [n] or ladders.count(n) != 1 or bounds != [n]:
+                over.append(("binomial", n, precision, list(refines),
                              ladders.count(n), len(bounds)))
         assert not over
 

@@ -13,8 +13,9 @@ leaves the output byte-identical.  The groups are `verify`, `roots` and
 (1024, 32) and (2048, 32), then `roots --n 32 --precision 33`,
 `zeta-precisions`: `zeta` at precisions 32, 53 and 256 for every n in 1..64
 and n = 4095, 4096, and `large-n`: `roots` at (n, precision) = (32768, 32),
-(32767, 32) and (16384, 128), and `roots-of 2` at (16383, 32), where the
-margins of the root sets are tightest.  `errors-and-text` runs every command once with
+(32767, 32) and (16384, 128), and `roots-of 2` at (16383, 32) and
+(32768, 32), where the margins of the root sets are tightest.
+`errors-and-text` runs every command once with
 `--format text`, then the error paths: invalid n (once more as text), m
 and precision, `roots-of` targets that are zero, malformed or out of
 range, `dft` inputs whose length disagrees with their `n` or with `--n`,
@@ -28,7 +29,9 @@ commands whose output changed and the largest change of the numbers under
 each JSON key, then one such line per changed command.  A change is given in
 units of 2**-precision of its command, the last bit of a value of scale 1/2
 to 1, such as a root of unity's component; the precision is read from the
-command's `--precision` flag (128 without one).  A change outside the
+command's `--precision` flag (128 without one).  A `residual_bound` scales
+with |c| 2**-precision, not with a component, so its change is given
+instead as log2(new/old) in bits, signed, largest in magnitude.  A change outside the
 numbers (a key, a flag, an exit code, a count of values) is reported as a
 shape change.
 
@@ -43,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -60,7 +64,8 @@ ZETA_PRECISIONS = [(str(n), precision) for precision in ("32", "53", "256")
 LARGE_N = [["roots", "--n", "32768", "--precision", "32"],
            ["roots", "--n", "32767", "--precision", "32"],
            ["roots", "--n", "16384"],
-           ["roots-of", "--n", "16383", "--c-re", "2", "--precision", "32"]]
+           ["roots-of", "--n", "16383", "--c-re", "2", "--precision", "32"],
+           ["roots-of", "--n", "32768", "--c-re", "2", "--precision", "32"]]
 TEXT = [["roots", "--n", "5"], ["zeta", "--n", "12", "--certificate"],
         ["verify", "--n", "12"], ["order", "--n", "6", "--m", "5"],
         ["roots-of", "--n", "3", "--c-re", "-8", "--c-im", "1"]]
@@ -75,7 +80,9 @@ NUMERICAL = [["zeta", "--n", "8192", "--precision", "32", "--certificate"],
              ["verify", "--n", "8192", "--precision", "32"]]
 
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-KEY = re.compile(r'"([^"]+)":')
+KEY = re.compile(r'"([^"]+)":|^([\w.\[\]]+) = ')
+# keys whose changes are given as log2(new/old) in bits
+IN_BITS = {"residual_bound"}
 
 
 def _output(argv: list) -> str:
@@ -162,32 +169,49 @@ def _precision(command: str) -> int:
 
 
 def _format(change: dict) -> str:
-    return ", ".join(f"{key} {size:.3g}" for key, size in sorted(change.items()))
+    return ", ".join(f"{key} {size:+.3g} bits" if key in IN_BITS
+                     else f"{key} {size:.3g}"
+                     for key, size in sorted(change.items()))
 
 
 def _numbers(text: str) -> list:
     """(key, number) for every number in the output, keyed by the JSON key
-    of its line or, for a list element, of the list."""
+    or text-format name of its line or, for a list element, of the list."""
     key, out = "", []
     for line in text.splitlines():
         match = KEY.search(line)
         if match:
-            key, line = match.group(1), line[match.end():]
+            key, line = match.group(1) or match.group(2), line[match.end():]
         out += [(key, num) for num in NUMBER.findall(line)]
     return out
 
 
+def _size(key: str, a: str, b: str, precision: int) -> float:
+    """The change from a to b: log2(b/a) in bits for a key of IN_BITS, else
+    |b - a| in units of 2**-precision."""
+    old, new = Fraction(a), Fraction(b)
+    if key not in IN_BITS:
+        return float(abs(new - old) * 2 ** precision)
+    if old and new:
+        # log1p keeps the moves of a few parts in 2**60 that log2 rounds to 0
+        return math.log1p(float(new / old - 1)) / math.log(2)
+    return math.copysign(math.inf, new - old)
+
+
 def _change(old: str, new: str, precision: int):
     """None if the outputs differ outside their numbers, else the largest
-    change of each key's numbers in units of 2**-precision."""
+    change of each key's numbers (see :func:`_size`), largest in magnitude."""
     if NUMBER.sub("#", old) != NUMBER.sub("#", new):
         return None
     worst: dict = {}
     for (key, a), (_, b) in zip(_numbers(old), _numbers(new)):
         if a != b:
-            size = float(abs(Fraction(a) - Fraction(b)) * 2 ** precision)
-            worst[key] = max(worst.get(key, 0.0), size)
+            worst[key] = _larger(worst.get(key, 0.0), _size(key, a, b, precision))
     return worst
+
+
+def _larger(x: float, y: float) -> float:
+    return y if abs(y) > abs(x) else x
 
 
 def compare(old_path: str, new_path: str) -> None:
@@ -211,10 +235,10 @@ def compare(old_path: str, new_path: str) -> None:
                 lines.append(f"  {a['command']}: shape changed")
                 continue
             for item, size in change.items():
-                worst[item] = max(worst.get(item, 0.0), size)
+                worst[item] = _larger(worst.get(item, 0.0), size)
             lines.append(f"  {a['command']}: {_format(change)}")
         print(f"{name}: {len(lines)} of {len(before)} changed, {shape} shape "
-              f"changes; largest, in units of 2**-precision: "
+              f"changes; largest, in units of 2**-precision or in bits: "
               f"{_format(worst) or 'none'}")
         for line in lines:
             print(line)
