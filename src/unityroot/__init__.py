@@ -23,7 +23,7 @@ from .oracle import OracleRoot, trig_root, zeta_matches_trig
 from .primitivity import (PrimitivityReport, gcd_primitivity, is_prime,
                           multiplicative_order, prime_shortcut, roots_of)
 from .solver import RootSet, solve_binomial, solve_unity
-from .zeta import Zeta, construct_zeta, radius_identity_check
+from .zeta import Zeta, construct_zeta, radius_identity_check, zeta_power
 
 __version__ = "0.1.0"
 
@@ -39,4 +39,5 @@ __all__ = [
     "gcd_primitivity", "is_prime", "multiplicative_order", "prime_shortcut",
     "radius_identity_check", "retreat_re", "roots_of", "solve_binomial",
     "solve_unity", "trig_root", "twiddle_table", "zeta_matches_trig",
+    "zeta_power",
 ]

@@ -26,7 +26,8 @@ from .hpreal import HPReal
 from .oracle import zeta_matches_trig
 from .primitivity import multiplicative_order, roots_of
 from .solver import solve_unity
-from .zeta import construct_zeta, radius_identity_check, zeta_basis
+from .zeta import (construct_zeta, radius_identity_check, zeta_basis,
+                   zeta_power)
 
 SCHEMA_VERSION = "1"
 
@@ -165,8 +166,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_order(args) -> dict:
-    zeta = construct_zeta(args.n, args.precision)
-    report = multiplicative_order(zeta.as_complex().pow(args.m), args.n)
+    report = multiplicative_order(
+        zeta_power(args.n, args.m, args.precision), args.n)
     return {
         "n": args.n,
         "m": args.m,

@@ -1,8 +1,11 @@
 """Deterministic root finding for z**n = c.
 
-Every root the solver refines takes the same two steps: a binary64 seed,
-then :func:`unityroot.fixed.newton` on integer pairs with 64 guard bits,
-each component rounded once.  The seeds of omega and of the principal root
+Every root the solver returns is one rounding of an exact integer pair
+(:func:`_round_pairs`), each component rounded once; no product of rounded
+values makes a root.  The pairs come from the same two steps: a binary64
+seed, then :func:`unityroot.fixed.newton` on integer pairs with 64 guard
+bits, and for a root of unity or a rotated root an exact integer product
+of the refined pairs.  The seeds of omega and of the principal root
 come from one routine (:func:`_pow_frac`): base**(g/n) from the binary
 digits of g/n, each digit selecting a repeated principal square root
 (:func:`_csqrt`, the one cancellation-free complex square root).
@@ -24,15 +27,17 @@ documented order, and the DFT's twiddle table and zeta(n) use it.
 
 For a general c != 0, :func:`solve_binomial` (also exported as
 ``roots_of``) rotates the principal root c**(1/n) (:func:`newton_root`,
-the seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots,
-which keeps them distinct, and orders and bounds the set relative to the
-roots' power-of-two scale.  No root set is screened for close pairs: each
-is distinct by construction.  The residual bound of every root set is a
-proven upper bound derived from that structure (:func:`_structural_bound`):
-each root is held, on exact integers, against its ideal pair, a power of
-omega's refined pair times the principal root's, and one ladder of degree
-n per solve bounds the ideal pairs' own residuals, where a bound root by
-root took one ladder per root.  Every stage is a pure function of
+the seed t**(1/n) 2**(g/n) from :func:`_pow_frac`) by the unity roots on
+exact integers, Newton's unrounded pair times each ideal pair of the
+unity table, which keeps them distinct, and orders and bounds the set
+relative to the roots' power-of-two scale.  No root set is screened for
+close pairs: each is distinct by construction.  The residual bound of
+every root set is a proven upper bound derived from that structure
+(:func:`_structural_bound`): each root is held, on exact integers,
+against its ideal pair, a power of omega's refined pair times the
+principal root's, and one ladder of degree n per solve bounds the ideal
+pairs' own residuals, where a bound root by root took one ladder per
+root.  Every stage is a pure function of
 (c, n, precision), so repeated calls are bit-identical.
 
 Every solve accepts 1 <= n <= MAX_N (:func:`_check_index`).  Only field
@@ -149,6 +154,26 @@ def _pair(z: HPComplex, frac: int) -> tuple:
     return fixed.to_fixed(z.re, frac), fixed.to_fixed(z.im, frac)
 
 
+def _round_pairs(pairs, frac: int, precision: int) -> tuple:
+    """(roots, dev): each integer pair at frac fraction bits as an
+    HPComplex, each component rounded once to `precision` bits, and
+    dev = max |round(P) - P|**2 over the pairs P, in units 2**-(2 frac).
+
+    Every root the solver returns is made here.  dev is exact: a component
+    of more than `precision` bits keeps its bits from 2**-frac up, so
+    rounding drops only bits below the unit and the rounded value is again
+    an integer at frac fraction bits; a shorter component is exact.
+    """
+    roots, dev = [], 0
+    for pr, pi in pairs:
+        x = fixed.to_hpreal(pr, frac, precision)
+        y = fixed.to_hpreal(pi, frac, precision)
+        dev = max(dev, (fixed.to_fixed(x, frac) - pr) ** 2
+                  + (fixed.to_fixed(y, frac) - pi) ** 2)
+        roots.append(HPComplex(x, y))
+    return roots, dev
+
+
 def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     """The principal n-th root of c by the solver's Newton loop; c = 0
     raises ZeroTarget.
@@ -159,16 +184,18 @@ def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     roots and products in binary64, and their product seeds Newton on the
     reduced target c / 2**(k n) within about 2**-45 of its root.  Newton
     runs on integer pairs at frac = precision + 64 fraction bits (the seed
-    enters exactly, c / 2**(k n) truncated below 2**-frac), and each
-    component of the root is rounded once at the end.
+    enters exactly, c / 2**(k n) truncated below 2**-frac), and the root is
+    Newton's pair times 2**k, each component rounded once
+    (:func:`_round_pairs`).
     """
-    return _principal(c, n, precision)[0]
+    a, frac, k = _principal(c, n, precision)
+    return _round_pairs([a], frac - k, precision)[0][0]
 
 
 def _principal(c: HPComplex, n: int, precision: int) -> tuple:
-    """(z0, a, frac): z0 the principal root :func:`newton_root` returns,
-    and a the pair Newton returned for it, the root of c / 2**(k n) at frac
-    fraction bits, before z0 = a 2**k was rounded."""
+    """(a, frac, k): a the pair Newton returns for the root of c / 2**(k n)
+    at frac fraction bits, unrounded, with 2**k the roots' scale
+    (:func:`_root_scale`); the principal root of c is a 2**k."""
     if c.is_zero():
         raise ZeroTarget("z**n = 0 has only the trivial root")
     _check_index(n, precision)
@@ -177,11 +204,9 @@ def _principal(c: HPComplex, n: int, precision: int) -> tuple:
     t = _scale2(c, -s).to_complex()
     seed = _pow_frac(t, 1, n) * _pow_frac(2 + 0j, s - k * n, n)
     frac = fixed.frac_bits(precision)
-    yr, yi = fixed.newton(_pair(HPComplex.from_float(seed, 53), frac),
-                          _pair(c, frac - k * n), n, frac)
-    z0 = HPComplex(fixed.to_hpreal(yr, frac - k, precision),
-                   fixed.to_hpreal(yi, frac - k, precision))
-    return z0, (yr, yi), frac
+    a = fixed.newton(_pair(HPComplex.from_float(seed, 53), frac),
+                     _pair(c, frac - k * n), n, frac)
+    return a, frac, k
 
 
 def _structural_bound(n: int, frame: tuple, dev: int, frac: int, a: int,
@@ -208,11 +233,11 @@ def _structural_bound(n: int, frame: tuple, dev: int, frac: int, a: int,
 
     the first term by |u**n - v**n| <= n |u - v| max(|u|, |v|)**(n - 1),
     the others as |A**n| <= |c'| + rho.  Each root is held against its own
-    ideal pair, so the rounding of A, of the unity roots and of the
-    products adds up root by root, as in the exact residual, not as a sum
-    of maxima over the set.  The square root is rounded up and the power is
-    :func:`unityroot.fixed.power_up`, so N is at or above the bound.  No
-    ladder of degree n runs here.
+    ideal pair, so the rounding of each root and the errors of A and of
+    the ideal pairs add up root by root, as in the exact residual, not as
+    a sum of maxima over the set.  The square root is rounded up and the
+    power is :func:`unityroot.fixed.power_up`, so N is at or above the
+    bound.  No ladder of degree n runs here.
     """
     fu, _, wm, e, tau = frame
     g = fixed.BOUND_BITS
@@ -387,13 +412,8 @@ def _unity(n: int, precision: int) -> tuple:
                + fixed.power_error(y, n, frac))
         tau = fixed.shift_up(m * eps * fixed.power_up(
             (1 << g) + fixed.shift_up(eps, g - frac), m - 1), -g)
-    reps = [HPComplex(fixed.to_hpreal(re, frac, precision),
-                      fixed.to_hpreal(im, frac, precision))
-            for re, im in powers]
+    reps, dev = _round_pairs(powers, frac, precision)
     roots = _unity_layout(reps, n, precision)
-    dev = max(((fixed.to_fixed(z.re, frac) - pr) ** 2
-               + (fixed.to_fixed(z.im, frac) - pi) ** 2
-               for z, (pr, pi) in zip(reps, powers)), default=0)
     frame = (frac, y, wm, e, tau)
     bound = fixed.to_hpreal_up(
         _structural_bound(n, frame, dev, frac, 1 << g, 0, 1 << frac),
@@ -476,44 +496,45 @@ def unity_powers(rootset: RootSet) -> tuple:
 def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     """All n solutions of z**n = c for c != 0, as {w z : w**n = 1}.
 
-    c is brought to `precision`, z0 = c**(1/n) is the principal root from
-    :func:`newton_root` (which also checks c and n), and it is rotated by
-    the n roots w_i of solve_unity(n), one rounded product each.  The set
-    is ordered with the real band 2**k * contract_tol, 2**k the roots'
-    scale.
+    c is brought to `precision`, and :func:`_principal` (which also checks
+    c and n) returns A, Newton's pair for the principal root c**(1/n) / 2**k
+    before any rounding, 2**k the roots' scale.  Each root is one rounding
+    of an exact integer pair: A T_i, with T_i the unity frame's ideal pair
+    of the i-th root of unity (:func:`_ideal_pairs`), formed exactly at
+    frac + fu fraction bits and rounded once per component at
+    frac + fu - k (:func:`_round_pairs`), which is the root z_i = 2**k A T_i.
+    The set is ordered with the real band 2**k * contract_tol.
 
     The residual bound comes from the rotation's structure
     (:func:`_structural_bound`), with one ladder of degree n.  Write
     y = z / 2**k and c' = c / 2**(k n), so |z**n - c| = 2**(k n)
-    |y**n - c'|.  c' and every y_i enter the fixed-point kernel exactly at
-    frac >= precision + 64 fraction bits; A, Newton's pair for z0 / 2**k
-    before rounding, and the unity frame's ideal pairs T_i enter exactly,
-    so y_i - A T_i is exact.  rho = |Q - c'| + fixed.power_error(A, n)
-    >= |A**n - c'|, Q = fixed.power(A, n), and the sum is rounded upward
-    once.
+    |y**n - c'|.  c' enters the fixed-point kernel exactly at
+    frac >= precision + 64 fraction bits, A is shifted to it, and rounding
+    drops only bits below the unit 2**-(frac + fu) of A T_i, so
+    dev = max |y_i - A T_i|**2 comes exactly from the same integers.
+    rho = |Q - c'| + fixed.power_error(A, n) >= |A**n - c'|,
+    Q = fixed.power(A, n), and the sum is rounded upward once.
 
-    The rotation keeps the set distinct: the w_i lie at least
-    (4/n)(1 - eps) apart (:func:`_unity_layout`), eps also covering the
-    rounding of the products, and |z0| >= 2**(k - 1/(2n)), so
+    The rotation keeps the set distinct: the unity roots w_i, the T_i
+    rounded once, lie at least (4/n)(1 - eps) apart (:func:`_unity_layout`),
+    and y_i lies within one rounding of A T_i, with |A| >= 2**(-1/(2n)).
+    With eps also covering the one rounding of each y_i and of each w_i,
 
-        |z0 w_i - z0 w_j| >= |z0| (4/n)(1 - eps) > 2**k * floor,
+        |z_i - z_j| = 2**k |y_i - y_j| >= 2**k |A| (4/n)(1 - eps)
+                    > 2**k * floor,
 
     floor = 2**-distinct_exp(n, precision) < 1/(2n).
     """
     c = HPComplex(c.re.with_precision(precision), c.im.with_precision(precision))
-    z0, a, fa = _principal(c, n, precision)
-    _, k = _root_scale(c, n)
-    unity, frame = _unity(n, precision)
-    roots = [z0 * w for w in unity.roots]
-    scaled = [_scale2(c, -k * n)] + [_scale2(z, -k) for z in roots]
-    frac, parts = fixed.lift([v for z in scaled for v in (z.re, z.im)], fa)
+    a, fa, k = _principal(c, n, precision)
+    _, frame = _unity(n, precision)
+    cs = _scale2(c, -k * n)
+    frac, (cr, ci) = fixed.lift((cs.re, cs.im), fa)
     fu = frame[0]
     ar, ai = a[0] << (frac - fa), a[1] << (frac - fa)
-    dev = max(((yr << fu) - ar * tr + ai * ti) ** 2
-              + ((yi << fu) - ar * ti - ai * tr) ** 2
-              for yr, yi, (tr, ti) in zip(parts[2::2], parts[3::2],
-                                          _ideal_pairs(frame, n)))
-    cr, ci = parts[:2]
+    roots, dev = _round_pairs([(ar * tr - ai * ti, ar * ti + ai * tr)
+                               for tr, ti in _ideal_pairs(frame, n)],
+                              frac + fu - k, precision)
     qr, qi = fixed.power((ar, ai), n, frac)
     rho = (fixed.sqrt_up((qr - cr) ** 2 + (qi - ci) ** 2)
            + fixed.power_error((ar, ai), n, frac))

@@ -3,14 +3,13 @@
 Among the n-th roots of unity with positive imaginary part, exactly one
 minimizes the distance to 1; call it zeta = a + ib with radius r = |zeta - 1|
 (n >= 3; zeta(1) = 1 and zeta(2) = -1).  That root is
-omega = e^(2 pi i/n), and every n reads it off the package's one table of
-roots of unity: entry N/n mod N of :func:`unityroot.solver.unity_powers` of
-solve_unity(N), N = n for even n and N = 2n for odd n, is
-omega_N**(N/n) = omega_n.  The table's entry 1 is omega_N by solve_unity's
-own region check (a seed that reaches any other root raises
-NoConvergence), and the descent certificate proves that this root is the
-minimizer (:func:`unityroot.descent.build_certificate`), so no ranking
-runs here.
+omega = e^(2 pi i/n), and every n reads it, and each power zeta**m, off
+the package's one table of roots of unity (:func:`zeta_power`), the roots
+of solve_unity(N) for N = zeta_basis(n).  The table's entry 1 is omega_N
+by solve_unity's own region check (a seed that reaches any other root
+raises NoConvergence), and the descent certificate proves that this root
+is the minimizer (:func:`unityroot.descent.build_certificate`), so no
+ranking runs here.
 """
 
 from __future__ import annotations
@@ -50,22 +49,33 @@ def zeta_basis(n: int) -> int:
     return n if n % 2 == 0 else 2 * n
 
 
-def construct_zeta(n: int, precision: int = 128) -> Zeta:
-    """Build zeta(n) for any n >= 1: entry N/n mod N of
+def zeta_power(n: int, m: int, precision: int = 128) -> HPComplex:
+    """zeta(n)**m for any integer m, read off the package's one table of
+    roots of unity: entry (m N/n) mod N of
     :func:`unityroot.solver.unity_powers` of solve_unity(N),
-    N = zeta_basis(n).  For odd n that entry is the square of omega_(2n),
-    and solve_unity(2n) is the solve a certificate at the doubled index
-    reads too.  No arithmetic runs here but |zeta - 1|.  An odd n above
-    MAX_N / 2 raises InvalidN.
+    N = zeta_basis(n).  That entry is omega_N**(m N/n) = omega_n**m, each
+    component one rounding of an exact integer power, so no product of
+    rounded values runs and the error does not grow with m.  For odd n,
+    solve_unity(2n) is the solve a certificate at the doubled index reads
+    too.  n < 1 and an odd n above MAX_N / 2 raise InvalidN.
     """
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
     if n % 2 and 2 * n > MAX_N:
         raise InvalidN(f"odd n must be in 1..{MAX_N // 2 - 1}, got {n}")
+    basis = zeta_basis(n)
+    return unity_powers(solve_unity(basis, precision))[
+        m * (basis // n) % basis]
+
+
+def construct_zeta(n: int, precision: int = 128) -> Zeta:
+    """Build zeta(n) for any n >= 1: :func:`zeta_power` at m = 1, whose
+    index rule and checks it shares.  No arithmetic runs here but
+    |zeta - 1|.
+    """
     if (n, precision) in _zeta_cache:
         return _zeta_cache[(n, precision)]
-    basis = zeta_basis(n)
-    w = unity_powers(solve_unity(basis, precision))[(basis // n) % basis]
+    w = zeta_power(n, 1, precision)
     out = Zeta(n=n, a=w.re, b=w.im, r=abs(w - HPComplex.one(precision)),
                precision=precision)
     _zeta_cache[(n, precision)] = out

@@ -98,6 +98,14 @@ class TestOrderCommand:
         doc = json.loads(out)
         assert doc["order"] == 7 and doc["is_primitive"] is True
 
+    def test_zeta_power_at_32_bits(self, capsys):
+        # zeta.pow(325) carried an error near n m 2**-32, past the tolerance
+        # 2**-16: NotARoot, exit 1
+        code, out = run_cli(capsys, "order", "--n", "326", "--m", "325",
+                            "--precision", "32")
+        assert code == EXIT_OK
+        assert json.loads(out)["order"] == 326
+
     @pytest.mark.parametrize("m", ["0", "7"])
     def test_m_outside_one_to_n_is_invalid_m(self, capsys, m):
         code, out = run_cli(capsys, "order", "--n", "6", "--m", m)

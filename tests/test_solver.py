@@ -320,9 +320,10 @@ class TestBinomial:
         as_set_match(list(rs.roots), want, HPReal.pow2(-120))
 
     def test_unity_target_agrees_with_solve_unity(self):
-        # z0 = 1 rotates exactly, so the roots are solve_unity's bit for bit;
-        # the bounds differ only by the principal root's term rho, which
-        # carries fixed.power_error(1, n), 2 (n - 1) units of 2**-192
+        # A = 1 exactly for c = 1, so each root is the one rounding of its
+        # ideal pair T_i, solve_unity's root bit for bit; the bounds differ
+        # only by the principal root's term rho, which carries
+        # fixed.power_error(1, n), 2 (n - 1) units of 2**-192
         for n in (3, 6, 12, 100):
             a = solve_binomial(HPComplex.one(), n)
             b = fresh(solve_unity, n)
@@ -552,10 +553,8 @@ class TestStructuralBound:
         # a deterministic sample of the roots of each set, against their
         # exact residuals: eight roots of each set up to n = 300, two above.
         # An exact power of degree 32768 at 128 bits takes seconds, so past
-        # n = 4096 only 32 bits runs, with c = 2: -7 + 3i has no 32-bit root
-        # set from n = 32767 on, as the residual of a rounded root, about
-        # |c| n 2**-precision, outgrows the target |c| 2**-(precision/2)
-        # with any bound
+        # n = 4096 only 32 bits runs, with c = 2 (-7 + 3i at n = 32767 and
+        # 32768 is test_one_rounding_per_rotated_root_at_32_bits)
         short = []
         for n in STRUCTURE_NS:
             if n > 4096 and precision > 32:
@@ -572,14 +571,27 @@ class TestStructuralBound:
 
     def test_tight_margins_at_32_bits(self):
         # little room: roots_of(2, 32768, 32) has the bound
-        # 2**-15.01 against its target 2**-14, roots_of(2, 16383, 32)
-        # 2**-16.01 and solve_unity(32768, 32) 2**-17.51 against 2**-15; a
+        # 2**-16.20 against its target 2**-14, roots_of(2, 16383, 32)
+        # 2**-17.08 and solve_unity(32768, 32) 2**-17.51 against 2**-15; a
         # bound above target raises NoConvergence
         two = HPComplex.from_int(2, 0, 32)
         for rs, target in ((roots_of(two, 32768, 32), Fraction(1, 2 ** 14)),
                            (roots_of(two, 16383, 32), Fraction(1, 2 ** 14)),
                            (fresh(solve_unity, 32768, 32), Fraction(1, 2 ** 15))):
             assert exact(rs.residual_bound) < target
+
+    @pytest.mark.parametrize("n", [32767, 32768])
+    def test_one_rounding_per_rotated_root_at_32_bits(self, n):
+        # a root rotated as the rounded product of the rounded principal
+        # root and a rounded root of unity carried three roundings, and
+        # these sets raised NoConvergence with the bound 2**-12.54 against
+        # the target 2**-13; one rounding of the exact pair A T reads
+        # 2**-14.08 (n = 32767) and 2**-14.09 (n = 32768)
+        c = HPComplex.from_int(-7, 3, 32)
+        rs = roots_of(c, n, 32)
+        assert exact(rs.residual_bound) <= Fraction(1, 2 ** 13)
+        assert all(residual_within(z, c, n, rs.residual_bound)
+                   for z in rs.roots[::n // 2])
 
 
 def bits(z):

@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from unityroot import (HPComplex, HPReal, InvalidN, Zeta, construct_zeta,
-                       radius_identity_check, solve_unity)
+                       multiplicative_order, radius_identity_check,
+                       solve_unity, zeta_power)
 from unityroot.oracle import trig_root
 from conftest import exact, fresh
 
@@ -131,6 +133,34 @@ def test_integer_ranking_matches_hpreal_ranking():
 def test_invalid_n_rejected():
     with pytest.raises(InvalidN):
         construct_zeta(0)
+
+
+def test_zeta_power_rejects_n_as_construct_zeta_does():
+    for n in (0, 16385):
+        with pytest.raises(InvalidN) as want:
+            construct_zeta(n)
+        with pytest.raises(InvalidN) as got:
+            zeta_power(n, 2)
+        assert str(got.value) == str(want.value)
+
+
+def test_zeta_power_one_is_zeta():
+    for n in (1, 2, 5, 6, 12, 99):
+        z, w = fresh(construct_zeta, n), zeta_power(n, 1)
+        assert [(v.sign, v.mantissa, v.exponent) for v in (z.a, z.b)] == [
+            (v.sign, v.mantissa, v.exponent) for v in (w.re, w.im)]
+
+
+def test_zeta_power_orders_at_32_bits():
+    # zeta.pow(m) carried an error near n m 2**-32, past the tolerance
+    # 2**-16 from (n, m) = (326, 325) on: NotARoot
+    wrong = []
+    for n in (326, 327, 1000, 1001):
+        for m in range(1, n + 1):
+            got = multiplicative_order(zeta_power(n, m, 32), n).order
+            if got != n // math.gcd(m, n):
+                wrong.append((n, m, got))
+    assert not wrong
 
 
 def test_alternate_precision():

@@ -13,9 +13,11 @@ leaves the output byte-identical.  The groups are `verify`, `roots` and
 (1024, 32) and (2048, 32), then `roots --n 32 --precision 33`,
 `zeta-precisions`: `zeta` at precisions 32, 53 and 256 for every n in 1..64
 and n = 4095, 4096, and `large-n`: `roots` at (n, precision) = (32768, 32),
-(32767, 32) and (16384, 128), and `roots-of 2` at (16383, 32) and
-(32768, 32), where the margins of the root sets are tightest.
-`errors-and-text` runs every command once with
+(32767, 32) and (16384, 128), `roots-of 2` at (16383, 32) and
+(32768, 32) and `roots-of -7+3i` at (32767, 32), where the margins of the
+root sets are tightest, and `order` at (n, m, precision) =
+(1000, 999, 32), where zeta**m formed by products of a rounded zeta missed
+its tolerance.  `errors-and-text` runs every command once with
 `--format text`, then the error paths: invalid n (once more as text), m
 and precision, `roots-of` targets that are zero, malformed or out of
 range, `dft` inputs whose length disagrees with their `n` or with `--n`,
@@ -65,7 +67,10 @@ LARGE_N = [["roots", "--n", "32768", "--precision", "32"],
            ["roots", "--n", "32767", "--precision", "32"],
            ["roots", "--n", "16384"],
            ["roots-of", "--n", "16383", "--c-re", "2", "--precision", "32"],
-           ["roots-of", "--n", "32768", "--c-re", "2", "--precision", "32"]]
+           ["roots-of", "--n", "32768", "--c-re", "2", "--precision", "32"],
+           ["roots-of", "--n", "32767", "--c-re", "-7", "--c-im", "3",
+            "--precision", "32"],
+           ["order", "--n", "1000", "--m", "999", "--precision", "32"]]
 TEXT = [["roots", "--n", "5"], ["zeta", "--n", "12", "--certificate"],
         ["verify", "--n", "12"], ["order", "--n", "6", "--m", "5"],
         ["roots-of", "--n", "3", "--c-re", "-8", "--c-im", "1"]]
