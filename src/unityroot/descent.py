@@ -39,7 +39,7 @@ from . import fixed
 from .errors import (CertificateFailure, DomainViolation, InvalidN,
                      NonDescent, StepLimit)
 from .hpreal import HPReal
-from .solver import RootSet, contract_tol, unity_powers
+from .solver import RootSet, contract_tol, unity_pair
 from .zeta import Zeta
 
 # the descent and its certificate take even n >= DESCENT_MIN_N only
@@ -113,6 +113,15 @@ def descent_sequence(zeta: Zeta):
     32 bits).  A sequence still in the domain after n steps raises
     StepLimit.
     """
+    frac, _, xs = _descent(zeta)
+    return [fixed.to_hpreal(x, frac, zeta.precision) for x in xs], len(xs) - 1
+
+
+def _descent(zeta: Zeta) -> tuple:
+    """(frac, (a, b), X): zeta's a and b lifted exactly to frac >= precision
+    + 64 fraction bits, and X the descent of :func:`descent_sequence`, each
+    x_k rounded once to `precision` bits on integers
+    (:func:`unityroot.fixed.round_bits`), an exact integer at frac."""
     if zeta.n < DESCENT_MIN_N or zeta.n % 2:
         raise InvalidN(f"descent requires an even n >= 6, got {zeta.n}")
     prec = zeta.precision
@@ -130,7 +139,7 @@ def descent_sequence(zeta: Zeta):
                              f"{fixed.to_hpreal(nxt, frac, prec).to_float()} "
                              "did not decrease")
         xs.append(nxt)
-    return [fixed.to_hpreal(x, frac, prec) for x in xs], len(xs) - 1
+    return frac, (a, b), [fixed.round_bits(x, prec) for x in xs]
 
 
 @dataclass
@@ -165,33 +174,35 @@ class ZetaCertificate:
     tolerance: HPReal
 
 
-def _scaled_powers(zeta: Zeta, xs, m: int) -> tuple:
-    """(frac, X, P): frac = precision + 64, raised until a, b and every x_k
-    convert exactly; X the integers x_k * 2**frac; P = [P_0, ..., P_m], the
-    powers of w = a + ib from :func:`unityroot.fixed.powers`."""
-    frac, (a, b, *scaled) = fixed.lift((zeta.a, zeta.b, *xs),
-                                       fixed.frac_bits(zeta.precision))
-    return frac, scaled, fixed.powers((a, b), m, frac)
-
-
 def _reconstruction_ok(p: int, frac: int, xs: list, pw: list,
                        rootset: RootSet, tol: HPReal) -> bool:
     """Each x_k must equal Re(zeta^k) within tol, and zeta^0..zeta^p, then
-    conj(zeta^(p-1))..conj(zeta^1), must match the solved roots read as
-    powers (:func:`unityroot.solver.unity_powers`) one-to-one within tol.
-    A root set of other than n = 2p roots fails.  One pass over both lists;
-    root components enter truncated to units of 2**-frac."""
-    if 2 * p != rootset.n or len(rootset.roots) != rootset.n:
+    conj(zeta^(p-1))..conj(zeta^1), must match entries 0..n - 1 of the
+    solved roots in the powers order one-to-one within tol.  Each entry is
+    read as an exact integer pair (:func:`unityroot.solver.unity_pair`),
+    from the roots the set holds, and compared on integers at the finer of
+    its scale and frac, so no root is converted.  A root set of other than
+    n = 2p roots fails."""
+    if 2 * p != rootset.n:
         return False
     t = fixed.to_fixed(tol, frac)
     if any(abs(x - re) > t for x, (re, _) in zip(xs, pw)):
         return False
     candidates = pw + [(re, -im) for re, im in reversed(pw[1:p])]
-    for (cr, ci), z in zip(candidates, unity_powers(rootset)):
-        dr = cr - fixed.to_fixed(z.re, frac)
-        di = ci - fixed.to_fixed(z.im, frac)
-        if dr * dr + di * di > t * t:
-            return False
+    t2 = t * t
+    try:
+        for k, (cr, ci) in enumerate(candidates):
+            fz, (zr, zi) = unity_pair(rootset, k)
+            dr, di, bound = cr - zr, ci - zi, t2
+            if fz != frac:  # compare at the finer of the two units
+                up, down = max(fz - frac, 0), max(frac - fz, 0)
+                dr = (cr << up) - (zr << down)
+                di = (ci << up) - (zi << down)
+                bound = t2 << 2 * up
+            if dr * dr + di * di > bound:
+                return False
+    except InvalidN:  # a set of other than n roots
+        return False
     return True
 
 
@@ -228,7 +239,8 @@ def _arc_exclusion_ok(n: int, frac: int, xs: list, pw: list) -> bool:
 
     (2) Enclosures.  Write w = omega (1 + delta), so
     |delta| = |w - omega| <= rho := 2Bu, and k rho <= nBu < 2**-5 for k <= p
-    by (1); hence (1 + rho)^k <= e^(1/32) < 32/31.  Expand
+    by (1); hence (1 + rho)^k <= e^(1/32) < 32/31 and
+    |w^k - omega^k| <= (1 + rho)^k - 1 <= (32/31) k rho.  Expand
     (1 + delta)^k = 1 + k delta + R_k with
     |R_k| <= e^(k rho) - 1 - k rho <= (k rho)^2, and split delta into its
     radial part Re delta and its tangential part Im delta:
@@ -237,21 +249,49 @@ def _arc_exclusion_ok(n: int, frac: int, xs: list, pw: list) -> bool:
                                    - Im(omega^k) Im delta) + Re(omega^k R_k).
 
     The radial part comes from the exact |w|^2 = |1 + delta|^2
-    = 1 + 2 Re delta + |delta|^2, so |Re delta| <= (| |w|^2 - 1 | + rho^2)/2,
-    where | |w|^2 - 1 | = N u^2 with the exact integer
-    N = |a^2 + b^2 - 2^(2 frac)| (a, b in units u).  The tangential part is
-    weighted by |Im(omega^k)| <= |Im P_k| + e_k + |w^k - omega^k|, and
-    |w^k - omega^k| <= (1 + rho)^k - 1 <= (32/31) k rho.  With e_k < 2ku
-    from (0), (1 + k rho) e_k < (33/32)(1.62 k u) < 2ku, and the rho^2
-    terms sum to at most (1/2 + 32/31 + 1) k^2 rho^2 < 3 k^2 rho^2.  So for
-    k <= p, |Re(omega^k) - x_k| <= |x_k - Re P_k| + e_k
-    + |Re(w^k) - Re(omega^k)| <= E_k with
+    = 1 + 2 Re delta + |delta|^2: Re delta = s/2 - |delta|^2/2 with
+    s = |w|^2 - 1 = N u^2 and N = a^2 + b^2 - 2^(2 frac) the exact signed
+    integer (a, b in units u).  The descent turns on the unit circle, while
+    P_k has modulus about |w|^k ~ 1 + k s/2, so x_k - Re P_k carries the
+    radial drift -k Re(P_k) s/2 and Re(w^k) - Re(omega^k) the drift
+    k Re(omega^k) s/2: they cancel to first order, and the enclosure keeps
+    their sum with its sign,
 
-        E_k := |x_k - Re P_k| + 2ku + k N u^2 / 2 + 2kB |Im P_k| u
-               + 12 k^2 B^2 u^2,
+        S_k := (x_k - Re P_k) + k Re(P_k) s/2,
 
-    each term after the first rounded up to units of u.  Near k = p the
-    drift k delta is almost tangential, and its weight |Im P_k| is small.
+    where adding their absolute values charged twice the drift (at
+    (n, precision) = (8192, 32), 2**-20.7 against a last gap of 2**-21.7).
+    Writing Re(omega^k) = Re(P_k) + (Re(omega^k) - Re(P_k)),
+
+        x_k - Re(omega^k) = S_k + (Re P_k - Re w^k)
+                            + k (Re(omega^k) - Re P_k) s/2
+                            - k Re(omega^k) |delta|^2/2
+                            - k Im(omega^k) Im delta + Re(omega^k R_k),
+
+    and with e_k < 2ku from (0), |omega^k| = 1,
+    |Re(omega^k) - Re P_k| <= e_k + (32/31) k rho and
+    |Im(omega^k)| <= |Im P_k| + e_k + (32/31) k rho, the terms after S_k
+    are bounded in four groups:
+
+    - (1 + k rho) e_k < (33/32)(1.62 k u) < 2ku, as e_k <= sqrt(2) (8/7) k u;
+    - the tangential weight k rho |Im P_k| = 2kB |Im P_k| u;
+    - the rho^2 terms, (1/2 + 32/31 + 1) k^2 rho^2 < 3 k^2 rho^2
+      = 12 k^2 B^2 u^2;
+    - the second-order rest (k |s|/2)(e_k + (32/31) k rho)
+      < (k |N| u^2/2)(2 + (64/31) B) k u <= k^2 |N| (2B + 1) u^3.
+
+    So for k <= p, |Re(omega^k) - x_k| <= E_k with
+
+        E_k := |S_k| + 2ku + 2kB |Im P_k| u
+               + k^2 (12 B^2 u^2 + |N| (2B + 1) u^3),
+
+    each term rounded up to units of u, the two in k^2 as one: S_k lies in
+    [v, v + 1) for the integer v = x_k - Re P_k
+    + floor(k Re(P_k) N / 2^(2 frac + 1)) (in units u), so
+    |S_k| < |v| + 1.  The rest is tiny beside the other terms: N u^2 is
+    about 2**-precision for a rounded zeta, and at most 1/(2n) by (0).
+    Near k = p the drift k delta is almost tangential, and its weight
+    |Im P_k| is small.
 
     (3) If every gap x_k - x_(k+1) exceeds E_k + E_(k+1) and Im w > 2Bu,
     the real parts Re(omega^0) > ... > Re(omega^p) strictly decrease and
@@ -278,10 +318,11 @@ def _arc_exclusion_ok(n: int, frac: int, xs: list, pw: list) -> bool:
     beta = -(-4 * (-(-r >> frac) + 3 * n) // (3 * n))
     if (beta * (n - 1)) << _ALPHA_EXP >= one or ai <= 2 * beta:
         return False
-    radial = abs(ar * ar + ai * ai - (one << frac))
-    enc = [abs(x - re) + 2 * k + -(-k * radial >> frac + 1)
-           + -(-2 * k * beta * abs(im) >> frac)
-           + -(-12 * k * k * beta * beta >> frac)
+    signed = ar * ar + ai * ai - (one << frac)
+    # the k^2 terms over k^2, in units u^3
+    quad = (12 * beta * beta << frac) + abs(signed) * (2 * beta + 1)
+    enc = [abs(x - re + (k * re * signed >> 2 * frac + 1)) + 1 + 2 * k
+           + -(-2 * k * beta * abs(im) >> frac) + -(-k * k * quad >> 2 * frac)
            for k, (x, (re, im)) in enumerate(zip(xs, pw))]
     return all(xs[k] - xs[k + 1] > enc[k] + enc[k + 1] for k in range(p))
 
@@ -306,9 +347,10 @@ def build_certificate(zeta: Zeta, rootset: RootSet) -> ZetaCertificate:
         raise InvalidN("certificate root set must be solve_unity(n) for the same n")
     prec = zeta.precision
     tol = contract_tol(prec)
-    xs, p = descent_sequence(zeta)
+    frac, w, scaled = _descent(zeta)
+    xs, p = [fixed.to_hpreal(x, frac, prec) for x in scaled], len(scaled) - 1
     one = HPReal.one(prec)
-    frac, scaled, pw = _scaled_powers(zeta, xs, zeta.n // 2)
+    pw = fixed.powers(w, zeta.n // 2, frac)
     strict = all(b < a for a, b in zip(scaled, scaled[1:]))
     endpoint = abs(xs[-1] + one) <= tol
     half = 2 * p == zeta.n

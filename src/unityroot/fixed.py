@@ -69,6 +69,24 @@ def to_hpreal(v: int, frac: int, precision: int) -> HPReal:
     return HPReal._raw(s, m, e, precision)
 
 
+def round_bits(v: int, precision: int) -> int:
+    """v rounded once to `precision` significant bits, half to even, at the
+    same scale: to_fixed(to_hpreal(v, frac, precision), frac) at every
+    frac, as rounding drops only bits below the unit, without forming the
+    HPReal.  The quotient q of v by 2**drop is floored and moves up past
+    half, or at half when odd: half to even on the signed value is half to
+    even on its magnitude, with its sign.  A carry into 2**precision keeps
+    the exact value."""
+    drop = abs(v).bit_length() - precision
+    if drop <= 0:
+        return v
+    q = v >> drop
+    rem, half = v - (q << drop), 1 << (drop - 1)
+    if rem > half or (rem == half and q & 1):
+        q += 1
+    return q << drop
+
+
 def to_hpreal_up(v: int, frac: int, precision: int) -> HPReal:
     """v * 2**-frac for v >= 0 rounded once upward to `precision` bits."""
     if v == 0:

@@ -96,6 +96,26 @@ def _parse_digits(text: str) -> int:
     return _parse_digits(text[:-k]) * 10 ** k + _parse_digits(text[-k:])
 
 
+# (ndigits, 10**ndigits) of HPReal.decimal per fraction width; emptied once
+# it holds _DECIMAL_CACHE_SIZE widths, so values of ever new exponents
+# cannot grow it without bound
+_decimal_cache: dict = {}
+_DECIMAL_CACHE_SIZE = 256
+
+
+def _decimal_scale(shift: int) -> tuple:
+    """(ndigits, 10**ndigits) for a fraction of `shift` bits, ndigits the
+    digit count of 2**(shift + 2), so the least with 10**ndigits >
+    2**(shift + 2); memoised per shift."""
+    scale = _decimal_cache.get(shift)
+    if scale is None:
+        if len(_decimal_cache) >= _DECIMAL_CACHE_SIZE:
+            _decimal_cache.clear()
+        ndigits = len(_int_digits(1 << (shift + 2)))
+        scale = _decimal_cache[shift] = (ndigits, 10 ** ndigits)
+    return scale
+
+
 # ---------------------------------------------------------------------------
 # the scalar type
 # ---------------------------------------------------------------------------
@@ -376,11 +396,11 @@ class HPReal:
         shift = -self.exponent
         whole = self.mantissa >> shift
         frac = self.mantissa & ((1 << shift) - 1)
-        ndigits = len(_int_digits(1 << (shift + 2)))  # 10**ndigits > 2**(shift+2)
-        scaled, rem = divmod(frac * 10 ** ndigits, 1 << shift)
+        ndigits, ten = _decimal_scale(shift)
+        scaled, rem = divmod(frac * ten, 1 << shift)
         if 2 * rem >= (1 << shift):
             scaled += 1
-            if scaled == 10 ** ndigits:
+            if scaled == ten:
                 whole += 1
                 scaled = 0
         digits = _int_digits(scaled).rjust(ndigits, "0").rstrip("0")

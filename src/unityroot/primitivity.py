@@ -79,10 +79,11 @@ def _unity_test(w: HPComplex, n: int, tol: HPReal | None) -> tuple:
 
 def multiplicative_order(w: HPComplex, n: int, tol: HPReal | None = None) -> PrimitivityReport:
     """Smallest d >= 1 with |w^d - 1| <= tol; only divisors of n can qualify,
-    so only those are scanned."""
+    so only those are scanned.  within(n) holds once _unity_test returns,
+    so the scan stops before n and the order is n when no proper divisor
+    qualifies: w^n is formed once."""
     tol, within = _unity_test(w, n, tol)
-    # within(n) holds, so some divisor qualifies
-    d = next(d for d in _divisors(n) if within(d))
+    d = next((d for d in _divisors(n)[:-1] if within(d)), n)
     return PrimitivityReport(w=w, n=n, order=d, is_primitive=(d == n), tol=tol)
 
 

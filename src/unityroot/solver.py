@@ -1,14 +1,14 @@
 """Deterministic root finding for z**n = c.
 
 Every root the solver returns is one rounding of an exact integer pair
-(:func:`_round_pairs`), each component rounded once; no product of rounded
-values makes a root.  The pairs come from the same two steps: a binary64
-seed, then :func:`unityroot.fixed.newton` on integer pairs with 64 guard
-bits, and for a root of unity or a rotated root an exact integer product
-of the refined pairs.  The seeds of omega and of the principal root
-come from one routine (:func:`_pow_frac`): base**(g/n) from the binary
-digits of g/n, each digit selecting a repeated principal square root
-(:func:`_csqrt`, the one cancellation-free complex square root).
+(:func:`_round_pairs`), each component rounded once on integers; no
+product of rounded values makes a root.  The pairs come from the same two
+steps: a binary64 seed, then :func:`unityroot.fixed.newton` on integer
+pairs with 64 guard bits, and for a root of unity or a rotated root an
+exact integer product of the refined pairs.  The seeds of omega and of the
+principal root come from one routine (:func:`_pow_frac`): base**(g/n) from
+the binary digits of g/n, each digit selecting a repeated principal square
+root (:func:`_csqrt`, the one cancellation-free complex square root).
 
 z**n = 1 is solved without a simultaneous solve (:func:`solve_unity`).
 omega = e^(2 pi i/n) = (-1)**(2/n) is seeded in binary64
@@ -19,11 +19,15 @@ sign flips of the components.  The axis roots 1, -1 and +-i are inserted
 exactly and every other root is a sign flip of a representative.  A flip
 leaves |z**n - 1| and |z| unchanged, so the bound over the representatives
 bounds every root.  The representatives must keep a margin from the
-axes, which with the residual bound makes the n roots distinct, and the
-documented order is built from them (:func:`_unity_layout`), so no stage
-touches all n roots.  This is the package's one table of the n-th roots
-of unity: :func:`unity_powers` reads omega**0..omega**(n - 1) off the
-documented order, and the DFT's twiddle table and zeta(n) use it.
+axes, which with the residual bound makes the n roots distinct
+(:func:`_check_region`), so no stage touches all n roots.  The unity set
+holds the m rounded representatives as integer pairs and builds its n
+HPComplex roots in the documented order (:func:`_layout`) only when
+`roots` is first read; the certificate, zeta(n) and every zeta**m read
+single entries as integer pairs (:func:`unity_pair`) and never build them.
+This is the package's one table of the n-th roots of unity:
+:func:`unity_powers` reads omega**0..omega**(n - 1) off the documented
+order, and the DFT's twiddle table reads it.
 
 For a general c != 0, :func:`solve_binomial` (also exported as
 ``roots_of``) rotates the principal root c**(1/n) (:func:`newton_root`,
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fixed
 from .errors import InvalidN, NoConvergence, ZeroTarget
@@ -56,27 +61,67 @@ from .hpreal import HPReal
 
 # the largest n any solve accepts.  Every solve is close to linear in n
 # (cold, solve_binomial(2, 16383) takes about half a second), so cost does
-# not set it; it stays until the certificate holds past it at every precision:
-# at 32 bits, `verify` fails its arc exclusion from about n = 6100 already.
+# not set it; it stays until a rule over (n, precision) says where a
+# result can exist.  `verify` passes at every precision >= 32 up to it, as
+# the arc exclusion keeps the sign of the radial drift; past it, at 32
+# bits, solve_unity(2**18) misses its residual target (NoConvergence).
 # Odd-n zeta solves at 2n, so `verify --n 16383` stays legal.
 MAX_N = 32768
 
 _unity_cache: dict = {}
 
 
+class _Reps(NamedTuple):
+    """omega's m representatives (:func:`solve_unity`), each component
+    rounded once to the set's precision, as exact integer pairs at frac
+    fraction bits: what a unity set holds until its roots are read."""
+
+    frac: int
+    pairs: list
+
+
+class _Roots:
+    """The `roots` field of :class:`RootSet`, a data descriptor.  It holds
+    what the set is given: the roots, or from the unity solve omega's
+    representatives (:class:`_Reps`).  Reading a held _Reps builds the n
+    roots in the documented order (:func:`_unity_roots`) and holds them in
+    its place, so a set holds one form, never both.  Reading it on the
+    class raises AttributeError, so the field has no default."""
+
+    def __get__(self, rs, owner=None):
+        if rs is None:
+            raise AttributeError("roots")
+        if isinstance(rs._held, _Reps):
+            rs._held = _unity_roots(rs._held, rs.n, rs.precision)
+        return rs._held
+
+    def __set__(self, rs, value):
+        rs._held = value
+
+
 @dataclass(eq=False)
 class RootSet:
-    """All n solutions of z**n = target with a certified residual bound."""
+    """All n solutions of z**n = target with a certified residual bound.
+
+    `roots` is a tuple of HPComplex.  The unity set of :func:`solve_unity`
+    holds omega's m rounded representatives in its place and builds the
+    tuple on first read; :func:`unity_pair` reads single entries of either
+    form.  ``dataclasses.replace(rs, roots=...)`` gives a set that holds
+    the roots given."""
 
     n: int
     target: HPComplex
-    roots: tuple
+    roots: tuple = _Roots()
     residual_bound: HPReal
     precision: int
 
     @property
     def is_unity(self) -> bool:
-        return self.target == HPComplex.one(self.precision)
+        # target == 1, read off the normalised fields: 1 is the mantissa
+        # 2**(p - 1) at exponent 1 - p, and no HPComplex is formed
+        re, im = self.target.re, self.target.im
+        return (im.sign == 0 and re.sign == 1 and re.exponent == 1 - re.precision
+                and re.mantissa == 1 << (re.precision - 1))
 
     def bit_identical(self, other: "RootSet") -> bool:
         """Field-by-field representation equality (for determinism checks)."""
@@ -154,24 +199,31 @@ def _pair(z: HPComplex, frac: int) -> tuple:
     return fixed.to_fixed(z.re, frac), fixed.to_fixed(z.im, frac)
 
 
-def _round_pairs(pairs, frac: int, precision: int) -> tuple:
-    """(roots, dev): each integer pair at frac fraction bits as an
-    HPComplex, each component rounded once to `precision` bits, and
-    dev = max |round(P) - P|**2 over the pairs P, in units 2**-(2 frac).
+def _complex(pair: tuple, frac: int, precision: int) -> HPComplex:
+    """The integer pair at frac fraction bits as an HPComplex, exact for a
+    pair of :func:`_round_pairs`."""
+    return HPComplex(fixed.to_hpreal(pair[0], frac, precision),
+                     fixed.to_hpreal(pair[1], frac, precision))
 
-    Every root the solver returns is made here.  dev is exact: a component
-    of more than `precision` bits keeps its bits from 2**-frac up, so
-    rounding drops only bits below the unit and the rounded value is again
-    an integer at frac fraction bits; a shorter component is exact.
+
+def _round_pairs(pairs, precision: int) -> tuple:
+    """(rounded, dev): each integer pair with each component rounded once
+    to `precision` significant bits on integers
+    (:func:`unityroot.fixed.round_bits`), at the pairs' own scale, and
+    dev = max |round(P) - P|**2 over the pairs P, in the square of their
+    unit.
+
+    Every root the solver returns is rounded here.  Rounding drops only
+    bits below the unit, so each rounded component is again an integer at
+    the pairs' scale, :func:`_complex` converts it exactly, and dev is
+    exact.
     """
-    roots, dev = [], 0
+    rounded, dev = [], 0
     for pr, pi in pairs:
-        x = fixed.to_hpreal(pr, frac, precision)
-        y = fixed.to_hpreal(pi, frac, precision)
-        dev = max(dev, (fixed.to_fixed(x, frac) - pr) ** 2
-                  + (fixed.to_fixed(y, frac) - pi) ** 2)
-        roots.append(HPComplex(x, y))
-    return roots, dev
+        x, y = fixed.round_bits(pr, precision), fixed.round_bits(pi, precision)
+        dev = max(dev, (x - pr) ** 2 + (y - pi) ** 2)
+        rounded.append((x, y))
+    return rounded, dev
 
 
 def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
@@ -189,7 +241,7 @@ def newton_root(c: HPComplex, n: int, precision: int) -> HPComplex:
     (:func:`_round_pairs`).
     """
     a, frac, k = _principal(c, n, precision)
-    return _round_pairs([a], frac - k, precision)[0][0]
+    return _complex(_round_pairs([a], precision)[0][0], frac - k, precision)
 
 
 def _principal(c: HPComplex, n: int, precision: int) -> tuple:
@@ -253,7 +305,7 @@ def distinct_exp(n: int, precision: int) -> int:
 
     As 2**-e < 1/(2n), the floor stays below the spacing 2 sin(pi/n) >= 4/n
     of the n-th roots of unity.  Half the floor is the margin of the region
-    check of :func:`_unity_layout`.
+    check of :func:`_check_region`.
     """
     return max(precision // 4, n.bit_length() + 1)
 
@@ -274,16 +326,16 @@ def _sort_roots(zs: list, band: HPReal) -> list:
     return sorted(zs, key=key)
 
 
-def _bounded_rootset(zs: list, c: HPComplex, n: int, precision: int,
+def _bounded_rootset(roots, c: HPComplex, n: int, precision: int,
                      bound: HPReal) -> RootSet:
-    """The RootSet of the ordered roots zs with the residual bound `bound`,
-    which must be at most 2**((top + 1) // 2) * contract_tol, about
-    |c| * 2**(-precision/2)."""
+    """The RootSet of roots, the ordered tuple or a unity set's
+    representatives, with the residual bound `bound`, which must be at most
+    2**((top + 1) // 2) * contract_tol, about |c| * 2**(-precision/2)."""
     top, _ = _root_scale(c, n)
     if bound > contract_tol(precision).scale2((top + 1) // 2):
         raise NoConvergence(
             f"residual bound {bound.to_float():.3g} above target for n={n}")
-    return RootSet(n=n, target=c, roots=tuple(zs),
+    return RootSet(n=n, target=c, roots=roots,
                    residual_bound=bound, precision=precision)
 
 
@@ -327,12 +379,11 @@ def _layout(reps: list, one, zero, n: int) -> list:
             + [(-x, -y) for x, y in mid] + flips[::-1])
 
 
-def _unity_layout(reps: list, n: int, precision: int) -> list:
-    """All n roots of z**n = 1 in the documented order (:func:`_layout`),
-    built from the representatives R, once they pass the region check.
-
-    The one check is the region: Im z > floor/2 for each z in R, and also
-    Re z > floor/2 for even n, floor = 2**-distinct_exp(n, precision).
+def _check_region(reps: list, frac: int, n: int, precision: int) -> None:
+    """The region check of the representatives R, the rounded pairs at frac
+    fraction bits: Im z > floor/2 for each z in R, and also Re z > floor/2
+    for even n, floor = 2**-distinct_exp(n, precision), compared on the
+    integers with floor/2 = 2**(frac - margin) units.
     With the residual bound B <= 2**(1 - precision // 2) that
     :func:`_bounded_rootset` asks of the set, it makes R the m = len(R)
     n-th roots of unity of the open region A (the upper half plane for odd
@@ -359,17 +410,24 @@ def _unity_layout(reps: list, n: int, precision: int) -> list:
     raises NoConvergence naming it and the region.
     """
     margin = distinct_exp(n, precision) + 1
-    half = HPReal.pow2(-margin, precision)
+    half = 1 << (frac - margin)
     region = "upper half plane" if n % 2 else "open first quadrant"
-    for j, z in enumerate(reps, 1):
-        if not (z.im > half and (n % 2 or z.re > half)):
+    for j, (x, y) in enumerate(reps, 1):
+        if not (y > half and (n % 2 or x > half)):
             raise NoConvergence(
                 f"representative omega**{j} of z**{n} = 1 is not in the "
                 f"{region} (margin 2**-{margin})")
-    pairs = _layout([(z.re, z.im) for z in reps], HPReal.one(precision),
-                    HPReal.zero(precision), n)
-    # the layout opens with R itself
-    return reps + [HPComplex(x, y) for x, y in pairs[len(reps):]]
+
+
+def _unity_roots(reps: _Reps, n: int, precision: int) -> tuple:
+    """The n roots of z**n = 1 in the documented order (:func:`_layout`)
+    from the representatives, each component converted exactly once and
+    the flips negated as HPReals: what reading a unity set's roots
+    builds."""
+    zs = [(fixed.to_hpreal(x, reps.frac, precision),
+           fixed.to_hpreal(y, reps.frac, precision)) for x, y in reps.pairs]
+    return tuple(HPComplex(x, y) for x, y in _layout(
+        zs, HPReal.one(precision), HPReal.zero(precision), n))
 
 
 def _representatives(n: int) -> int:
@@ -382,9 +440,11 @@ def _representatives(n: int) -> int:
 def _ideal_pairs(frame: tuple, n: int) -> list:
     """The ideal pairs T of the frame, one per n-th root of unity in the
     documented order: :func:`_layout` of omega's fixed-point powers
-    P_k = fixed.powers(y, m)[k], recomputed from y bit for bit.  The cache
-    keeps y alone; holding the m pairs there grew the resident memory of a
-    run of cold solves by half a megabyte."""
+    P_k = fixed.powers(y, m)[k], recomputed from y bit for bit.  These are
+    the unrounded powers; the unity set holds the m rounded ones, in place
+    of its n HPComplex roots (:class:`_Reps`).  The cache keeps y alone
+    beside them: holding the m unrounded pairs there too grew the resident
+    memory of a run of cold solves by half a megabyte."""
     fu, y = frame[:2]
     return _layout(fixed.powers(y, _representatives(n), fu)[1:], 1 << fu, 0, n)
 
@@ -393,7 +453,8 @@ def _unity(n: int, precision: int) -> tuple:
     """(solve_unity(n, precision), frame), cached: the frame (fu, y, Wm, e,
     tau) of :func:`_structural_bound`, omega's refined pair y at fu fraction
     bits with the bounds on its powers, which bounds the set and every set
-    rotated from it."""
+    rotated from it.  The set holds the m rounded representatives at fu
+    fraction bits (:class:`_Reps`), not its n roots."""
     if (n, precision) in _unity_cache:
         return _unity_cache[(n, precision)]
     _check_index(n, precision)
@@ -412,14 +473,14 @@ def _unity(n: int, precision: int) -> tuple:
                + fixed.power_error(y, n, frac))
         tau = fixed.shift_up(m * eps * fixed.power_up(
             (1 << g) + fixed.shift_up(eps, g - frac), m - 1), -g)
-    reps, dev = _round_pairs(powers, frac, precision)
-    roots = _unity_layout(reps, n, precision)
+    reps, dev = _round_pairs(powers, precision)
+    _check_region(reps, frac, n, precision)
     frame = (frac, y, wm, e, tau)
     bound = fixed.to_hpreal_up(
         _structural_bound(n, frame, dev, frac, 1 << g, 0, 1 << frac),
         frac + g, precision)
-    out = (_bounded_rootset(roots, HPComplex.one(precision), n, precision,
-                            bound), frame)
+    out = (_bounded_rootset(_Reps(frac, reps), HPComplex.one(precision), n,
+                            precision, bound), frame)
     _unity_cache[(n, precision)] = out
     return out
 
@@ -437,11 +498,14 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     part.  The set is closed under conjugation, and
     for even n under negation; both are exact sign flips of the components.
     So the axis roots 1, -1 (even n) and +-i (4 | n) are inserted exactly,
-    every other root is conj(z), -z or -conj(z) of a representative z, and
-    the set is checked and laid out in order from the representatives
-    (:func:`_unity_layout`), whose region check with the residual bound
-    proves the n roots distinct.  A seed that led to another root omega**j
-    would put some power outside that region and raise NoConvergence.
+    every other root is conj(z), -z or -conj(z) of a representative z.  The
+    representatives are checked on their integers (:func:`_check_region`),
+    a region check that with the residual bound proves the n roots
+    distinct; a seed that led to another root omega**j would put some
+    power outside that region and raise NoConvergence.  The set holds the
+    m rounded integer pairs and lays out its n roots in order from them
+    (:func:`_layout`) when `roots` is first read; :func:`unity_pair` reads
+    one entry without them.
 
     The residual bound is at most 2**(-precision/2), a proven upper bound
     over every root although it is derived for the representatives only:
@@ -475,6 +539,52 @@ def solve_unity(n: int, precision: int = 128) -> RootSet:
     <= residual_bound.  At n = 1 the set is {1}.
     """
     return _unity(n, precision)[0]
+
+
+def unity_pair(rootset: RootSet, j: int) -> tuple:
+    """(frac, (re, im)): omega**j, entry j mod n of :func:`unity_powers`, as
+    an exact integer pair at frac fraction bits, in O(1).
+
+    A set that holds its representatives R = omega**1..omega**m, the unity
+    set of :func:`solve_unity` until its roots are read, gives a sign flip
+    of one of them or an exact axis root, and builds no HPComplex: with
+    j mod n in [0, n/2], and conj of the entry n - j above n/2,
+
+        0: 1        n/2: -1        n/4: i        1..m: R
+        n/4 < j < n/2 (even n): -conj(omega**(n/2 - j)).
+
+    A set that holds its roots, read or given as by dataclasses.replace,
+    gives the root unity_powers reads, converted exactly at the least
+    frac >= precision + 64 that holds both components
+    (:func:`unityroot.fixed.exact_frac`); such a set that is not a unity
+    set of n roots raises InvalidN, as unity_powers does.
+    """
+    n, held = rootset.n, rootset._held
+    j %= n
+    lower = 2 * j > n
+    if isinstance(held, _Reps):
+        frac, pairs = held
+        i = n - j if lower else j
+        if 0 < i <= len(pairs):
+            z = pairs[i - 1]
+        elif i == 0 or 2 * i == n:
+            z = (1 << frac if i == 0 else -1 << frac), 0
+        elif 4 * i == n:
+            z = 0, 1 << frac
+        else:
+            x, y = pairs[n // 2 - i - 1]
+            z = -x, y
+        return frac, ((z[0], -z[1]) if lower else z)
+    if not rootset.is_unity or len(held) != n:
+        raise InvalidN(f"unity_pair expects the {n} roots of z**{n} = 1")
+    # the index unity_powers reads: the upper roots omega**1..omega**h
+    # first, then 1 and for even n -1, then the lower roots reversed
+    h = (n - 1) // 2
+    z = held[h if j == 0 else j - 1 if j <= h else j if j < n - h
+             else 2 * n - h - 1 - j]
+    frac = fixed.frac_bits(rootset.precision)
+    frac = max(fixed.exact_frac(z.re, frac), fixed.exact_frac(z.im, frac))
+    return frac, (fixed.to_fixed(z.re, frac), fixed.to_fixed(z.im, frac))
 
 
 def unity_powers(rootset: RootSet) -> tuple:
@@ -532,9 +642,9 @@ def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
     frac, (cr, ci) = fixed.lift((cs.re, cs.im), fa)
     fu = frame[0]
     ar, ai = a[0] << (frac - fa), a[1] << (frac - fa)
-    roots, dev = _round_pairs([(ar * tr - ai * ti, ar * ti + ai * tr)
-                               for tr, ti in _ideal_pairs(frame, n)],
-                              frac + fu - k, precision)
+    pairs, dev = _round_pairs([(ar * tr - ai * ti, ar * ti + ai * tr)
+                               for tr, ti in _ideal_pairs(frame, n)], precision)
+    roots = [_complex(z, frac + fu - k, precision) for z in pairs]
     qr, qi = fixed.power((ar, ai), n, frac)
     rho = (fixed.sqrt_up((qr - cr) ** 2 + (qi - ci) ** 2)
            + fixed.power_error((ar, ai), n, frac))
@@ -543,5 +653,6 @@ def solve_binomial(c: HPComplex, n: int, precision: int = 128) -> RootSet:
         rho << fu, fixed.sqrt_up(cr * cr + ci * ci) << fu)
     bound = fixed.to_hpreal_up(total, frac + fu + fixed.BOUND_BITS - k * n,
                                precision)
-    return _bounded_rootset(_sort_roots(roots, contract_tol(precision).scale2(k)),
-                            c, n, precision, bound)
+    return _bounded_rootset(
+        tuple(_sort_roots(roots, contract_tol(precision).scale2(k))),
+        c, n, precision, bound)

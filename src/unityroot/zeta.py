@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import fixed
 from .errors import InvalidN
 from .hpcomplex import HPComplex
 from .hpreal import HPReal
-from .solver import MAX_N, solve_unity, unity_powers
+from .solver import MAX_N, solve_unity, unity_pair
 
 _zeta_cache: dict = {}
 
@@ -51,21 +52,23 @@ def zeta_basis(n: int) -> int:
 
 def zeta_power(n: int, m: int, precision: int = 128) -> HPComplex:
     """zeta(n)**m for any integer m, read off the package's one table of
-    roots of unity: entry (m N/n) mod N of
-    :func:`unityroot.solver.unity_powers` of solve_unity(N),
-    N = zeta_basis(n).  That entry is omega_N**(m N/n) = omega_n**m, each
-    component one rounding of an exact integer power, so no product of
-    rounded values runs and the error does not grow with m.  For odd n,
-    solve_unity(2n) is the solve a certificate at the doubled index reads
-    too.  n < 1 and an odd n above MAX_N / 2 raise InvalidN.
+    roots of unity: entry (m N/n) mod N of solve_unity(N) in the powers
+    order, N = zeta_basis(n), read in O(1) as an integer pair
+    (:func:`unityroot.solver.unity_pair`) and converted exactly.  That
+    entry is omega_N**(m N/n) = omega_n**m, each component one rounding of
+    an exact integer power, so no product of rounded values runs and the
+    error does not grow with m, and the table's n roots are never built.
+    For odd n, solve_unity(2n) is the solve a certificate at the doubled
+    index reads too.  n < 1 and an odd n above MAX_N / 2 raise InvalidN.
     """
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
     if n % 2 and 2 * n > MAX_N:
         raise InvalidN(f"odd n must be in 1..{MAX_N // 2 - 1}, got {n}")
     basis = zeta_basis(n)
-    return unity_powers(solve_unity(basis, precision))[
-        m * (basis // n) % basis]
+    frac, (x, y) = unity_pair(solve_unity(basis, precision), m * (basis // n))
+    return HPComplex(fixed.to_hpreal(x, frac, precision),
+                     fixed.to_hpreal(y, frac, precision))
 
 
 def construct_zeta(n: int, precision: int = 128) -> Zeta:

@@ -5,12 +5,13 @@ import time
 
 import pytest
 
-from unityroot import (HPComplex, HPReal, NoConvergence, cli, dft_forward,
-                       solve_unity)
+from unityroot import (HPComplex, HPReal, NoConvergence, cli, descent,
+                       dft_forward, solve_unity, solver)
 from unityroot.cli import (EXIT_DOMAIN, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                            main, parse_args)
 from unityroot.hpreal import DECIMAL_MAX_MAGNITUDE
 from unityroot.solver import MAX_N
+from conftest import clear_caches
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,43 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["passed"] is True and doc["certificate"]["checks"]["arc_exclusion"]
+
+    @pytest.mark.parametrize("n", [6100, 8192, 16384, 32768])
+    def test_large_n_at_32_bits_passes(self, capsys, n):
+        # exited 2 with failed_checks [arc_exclusion]: the enclosures added
+        # the radial drifts of x_k - Re P_k and of Re P_k - Re omega^k,
+        # equal and opposite, as absolute values
+        code, out = run_cli(capsys, "verify", "--n", str(n), "--precision", "32")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["passed"] is True and doc["certificate"]["checks"]["arc_exclusion"]
+
+    def test_failed_certificate_exits_2(self, capsys, monkeypatch):
+        # no input known inside the domain fails a check, so a rejecting
+        # arc exclusion stands in for one: `verify` reports the failed
+        # checks and `zeta --certificate` the CertificateFailure
+        monkeypatch.setattr(descent, "_arc_exclusion_ok", lambda *args: False)
+        code, out = run_cli(capsys, "verify", "--n", "12")
+        doc = json.loads(out)
+        assert code == EXIT_NUMERICAL and doc["passed"] is False
+        assert doc["failed_checks"] == ["arc_exclusion", "certificate_passed"]
+        code, out = run_cli(capsys, "zeta", "--n", "12", "--certificate")
+        doc = json.loads(out)
+        assert code == EXIT_NUMERICAL and doc["error"] == "CertificateFailure"
+        assert doc["failed_checks"] == ["arc_exclusion"]
+        assert doc["certificate"]["checks"]["arc_exclusion"] is False
+
+    def test_verify_never_builds_the_roots(self, capsys, monkeypatch):
+        # the unity sets hold their representatives: zeta, the certificate
+        # and the order read single entries as integer pairs
+        def build(*args):
+            raise AssertionError("the n roots were built")
+
+        monkeypatch.setattr(solver, "_unity_roots", build)
+        clear_caches()
+        for n in ("150", "149", "12", "3"):
+            code, out = run_cli(capsys, "verify", "--n", n)
+            assert code == EXIT_OK and json.loads(out)["passed"], n
 
 
 class TestRootsOfCommand:

@@ -6,13 +6,22 @@ import pytest
 from unityroot import (CertificateFailure, DomainViolation, HPComplex, HPReal,
                        InvalidN, StepLimit, Zeta, advance_re,
                        advance_re_derivative, build_certificate,
-                       construct_zeta, descent_sequence, retreat_re,
+                       construct_zeta, descent_sequence, fixed, retreat_re,
                        solve_unity)
-from unityroot.descent import (_arc_exclusion_ok, _reconstruction_ok,
-                               _scaled_powers)
+from unityroot.descent import _arc_exclusion_ok, _reconstruction_ok
 from conftest import exact, sample_reals
 
 TOL_120 = Fraction(1, 2 ** 120)
+
+
+def scaled_powers(zeta, xs, m):
+    """(frac, X, P) as the certificate forms them for any xs: frac =
+    precision + 64, raised until a, b and every x_k convert exactly; X the
+    integers x_k * 2**frac; P = [P_0, ..., P_m], the fixed-point powers of
+    w = a + ib."""
+    frac, (a, b, *scaled) = fixed.lift((zeta.a, zeta.b, *xs),
+                                       fixed.frac_bits(zeta.precision))
+    return frac, scaled, fixed.powers((a, b), m, frac)
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +246,7 @@ class TestArcExclusion:
 
     @staticmethod
     def proves(zeta, n, xs):
-        return _arc_exclusion_ok(n, *_scaled_powers(zeta, xs, n // 2))
+        return _arc_exclusion_ok(n, *scaled_powers(zeta, xs, n // 2))
 
     @staticmethod
     def own_sequence(zeta, n):
@@ -250,7 +259,7 @@ class TestArcExclusion:
         # |P_k - w^k| <= sqrt(2) k u W**(k-1) < 2 k u for |w| within 2**-100
         # of 1, checked against the exact powers of the integer pair
         zeta = construct_zeta(n)
-        frac, _, pw = _scaled_powers(zeta, [], n // 2)
+        frac, _, pw = scaled_powers(zeta, [], n // 2)
         assert pw[0] == (1 << frac, 0)
         ar, ai = pw[1]
         er, ei = 1, 0  # exact w^k, scaled by 2**(k frac)
@@ -349,7 +358,7 @@ class TestArcExclusion:
         zeta = construct_zeta(12)
         rootset = solve_unity(12)
         xs, p = descent_sequence(zeta)
-        frac, scaled, pw = _scaled_powers(zeta, xs, p)
+        frac, scaled, pw = scaled_powers(zeta, xs, p)
         tol = HPReal.pow2(-64)
         assert _reconstruction_ok(p, frac, scaled, pw, rootset, tol)
         scaled[3] += 2 << (frac - 64)
@@ -364,6 +373,18 @@ class TestArcExclusion:
         with pytest.raises(CertificateFailure) as info:
             build_certificate(zeta, replace(rootset, roots=tuple(roots)))
         assert info.value.failed == ["reconstruction_matches"]
+
+    def test_merge_reads_a_root_finer_than_its_unit(self):
+        # Re i moved to 2**-100, a 128-bit value whose last bit lies below
+        # the certificate's unit 2**-192, is compared at its own unit, and
+        # within the 2**-64 tolerance it passes
+        zeta = construct_zeta(12)
+        rootset = solve_unity(12)
+        roots = list(rootset.roots)
+        i = next(k for k, z in enumerate(roots) if z == HPComplex.i())
+        roots[i] = HPComplex(HPReal.pow2(-100), roots[i].im)
+        moved = replace(rootset, roots=tuple(roots))
+        assert build_certificate(zeta, moved).checks.all_passed
 
     def test_merge_rejects_truncated_root_set(self):
         # the first five roots of twelve matched the first five candidates

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unityroot import HPReal, NoConvergence, fixed
 from conftest import exact
@@ -89,6 +91,41 @@ def test_rounding_back_is_once_and_to_nearest_even():
               (1 << 140) + (1 << 12), (1 << 140) + (3 << 12)):
         got = fixed.to_hpreal(v, frac, 128)
         assert got == HPReal.from_ratio(v, 1 << frac, 128)
+
+
+@st.composite
+def rounding_cases(draw):
+    """(v, precision): v a signed integer of `precision` kept bits and
+    `drop` bits below them; the low bits are often exactly half a unit (a
+    tie) and the kept bits often all ones (a carry into 2**precision)."""
+    precision = draw(st.integers(32, 160))
+    drop = draw(st.integers(1, 80))
+    keep = draw(st.one_of(st.just((1 << precision) - 1),
+                          st.integers(1 << (precision - 1), (1 << precision) - 1)))
+    low = draw(st.one_of(st.just(1 << (drop - 1)),
+                         st.integers(0, (1 << drop) - 1)))
+    return draw(st.sampled_from((1, -1))) * ((keep << drop) | low), precision
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(rounding_cases(),
+                 st.tuples(st.integers(-(1 << 300), 1 << 300),
+                           st.integers(32, 200))),
+       st.integers(0, 300))
+@example(((((1 << 32) - 1) << 8) | (1 << 7), 32), 96)  # odd tie: carry
+@example((((1 << 31) << 8) | (1 << 7), 32), 96)  # even tie: stays
+def test_round_bits_is_one_rounding_to_precision(case, frac):
+    v, precision = case
+    assert fixed.round_bits(v, precision) == fixed.to_fixed(
+        fixed.to_hpreal(v, frac, precision), frac)
+
+
+def test_round_bits_ties_and_carry():
+    assert fixed.round_bits((((1 << 32) - 1) << 8) | (1 << 7), 32) == 1 << 40
+    assert fixed.round_bits(-((((1 << 32) - 1) << 8) | (1 << 7)), 32) == -(1 << 40)
+    assert fixed.round_bits(((1 << 31) << 8) | (1 << 7), 32) == 1 << 39
+    assert fixed.round_bits((((1 << 31) + 1) << 8) | (1 << 7), 32) == ((1 << 31) + 2) << 8
+    assert fixed.round_bits(12345, 32) == 12345 and fixed.round_bits(0, 32) == 0
 
 
 def test_upward_rounding_is_an_upper_bound_within_one_ulp():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unityroot import DivisionByZero, HPReal, NegativeSqrt
+from unityroot import DivisionByZero, HPReal, NegativeSqrt, hpreal
 from unityroot.hpreal import DECIMAL_MAX_MAGNITUDE
-from conftest import exact, sample_reals
+from conftest import clear_caches, exact, sample_reals
 
 
 def ulp(x: HPReal) -> Fraction:
@@ -214,6 +214,22 @@ class TestDecimalSerialization:
         for prec in (32, 64, 192, 256):
             x = HPReal.from_ratio(22, 7, prec)
             assert HPReal.from_decimal(x.decimal(), prec) == x
+
+    def test_digit_scale_is_memoised_per_shift_and_bounded(self):
+        # one (ndigits, 10**ndigits) per fraction width, found and emptied
+        # by clear_caches, and the strings are those of a cold cache
+        values = [HPReal.pow2(-k, 64) * 3 for k in range(600)]
+        clear_caches()
+        cold = []
+        for x in values:
+            cold.append(x.decimal())
+            hpreal._decimal_cache.clear()
+        assert [x.decimal() for x in values] == cold
+        assert 0 < len(hpreal._decimal_cache) <= hpreal._DECIMAL_CACHE_SIZE
+        for shift, (ndigits, ten) in hpreal._decimal_cache.items():
+            assert ndigits == len(str(1 << (shift + 2))) and ten == 10 ** ndigits
+        clear_caches()
+        assert not hpreal._decimal_cache
 
     def test_known_strings(self):
         assert HPReal.zero().decimal() == "0"

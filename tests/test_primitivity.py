@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,8 @@ from unityroot import (HPComplex, HPReal, InvalidM, InvalidN,
                        InvalidPrecision, NoConvergence, NotARoot, NotPrime,
                        UnityRootError, ZeroTarget, construct_zeta,
                        gcd_primitivity, is_prime, multiplicative_order,
-                       prime_shortcut, roots_of, solve_binomial, solve_unity)
+                       prime_shortcut, roots_of, solve_binomial, solve_unity,
+                       zeta_power)
 from unityroot import fixed
 from unityroot.primitivity import _divisors
 import aberth_oracle
@@ -77,6 +79,29 @@ class TestOrder:
     def test_order_at_a_large_index(self):
         # the scan of 1..n took about a minute at n = 10**9
         assert multiplicative_order(HPComplex.one(), 10 ** 9).order == 1
+
+    def test_order_of_every_power_of_zeta_to_64(self):
+        # the order is n / gcd(m, n) for every m, and w^n is formed once
+        wrong = []
+        for n in range(1, 65):
+            for m in range(1, n + 1):
+                rep = multiplicative_order(zeta_power(n, m), n)
+                want = n // math.gcd(m, n)
+                if (rep.order, rep.is_primitive) != (want, want == n):
+                    wrong.append((n, m, rep.order))
+        assert not wrong
+
+    def test_w_to_the_n_is_formed_once(self, monkeypatch):
+        # _unity_test has checked w^n = 1; the divisor scan stops before n
+        degrees = []
+        power = fixed.power
+        monkeypatch.setattr(fixed, "power", lambda a, d, frac: degrees.append(d)
+                            or power(a, d, frac))
+        for n in (6, 7, 12, 64):
+            w = zeta_power(n, 1)
+            degrees.clear()
+            assert multiplicative_order(w, n).order == n
+            assert degrees.count(n) == 1, (n, degrees)
 
     def test_wide_tolerance_still_forms_the_powers(self):
         # |3 - 1| = 2 and |3^2 - 1| = 8: within tol 8, and 8 > tol 7

@@ -1,6 +1,7 @@
 import bisect
 import cmath
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -11,9 +12,9 @@ from unityroot import (HPComplex, HPReal, InvalidN, NoConvergence, RootSet,
                        ZeroTarget, roots_of, solve_binomial, solve_unity)
 from unityroot import fixed, primitivity, solver
 from unityroot.oracle import trig_root, zeta_matches_trig
-from unityroot.solver import (_csqrt, _sort_roots, _unity_layout, MAX_N,
+from unityroot.solver import (_check_region, _csqrt, _sort_roots, MAX_N,
                               contract_tol, distinct_exp, newton_root,
-                              unity_powers)
+                              unity_pair, unity_powers)
 import aberth_oracle
 from conftest import exact, fresh
 
@@ -646,21 +647,23 @@ class TestSymmetricUnity:
         assert not moved
 
     def test_representative_screen(self):
-        rs = solve_unity(12)
-        reps = list(rs.roots[:representatives(12)])
-        layout = _unity_layout(reps, 12, 128)
-        assert [bits(z) for z in layout] == [bits(z) for z in rs.roots]
-        quarter = HPReal.pow2(-distinct_exp(12, 128) - 2)
+        # the check reads the representatives' integer pairs
+        frac, flat = fixed.lift(
+            [v for z in solve_unity(12).roots[:representatives(12)]
+             for v in (z.re, z.im)], fixed.frac_bits(128))
+        reps = list(zip(flat[::2], flat[1::2]))
+        _check_region(reps, frac, 12, 128)
+        quarter = 1 << (frac - distinct_exp(12, 128) - 2)
         bad = [
             # within floor/2 of the real axis: its conjugate is within floor
-            [HPComplex(reps[0].re, quarter), reps[1]],
+            [(reps[0][0], quarter), reps[1]],
             # within floor/2 of the imaginary axis: so is -conj(z)
-            [reps[0], HPComplex(quarter, reps[1].im)],
+            [reps[0], (quarter, reps[1][1])],
         ]
         for wrong in bad:
             with pytest.raises(NoConvergence,
                                match="not in the open first quadrant"):
-                _unity_layout(wrong, 12, 128)
+                _check_region(wrong, frac, 12, 128)
 
     @pytest.mark.parametrize("n,j,region", [
         (12, 1, "open first quadrant"), (7, 1, "upper half plane")])
@@ -802,6 +805,51 @@ class TestUnityPowers:
                                  precision=128))
         with pytest.raises(InvalidN):
             unity_powers(solve_binomial(HPComplex.from_int(2), 3))
+
+
+def pair_bits(entry, precision):
+    frac, (x, y) = entry
+    return bits(HPComplex(fixed.to_hpreal(x, frac, precision),
+                          fixed.to_hpreal(y, frac, precision)))
+
+
+class TestUnityPair:
+    @pytest.mark.parametrize("precision", [32, 53, 128])
+    def test_every_entry_is_the_unity_powers_entry(self, precision):
+        # read from the representatives of a fresh set, then from the same
+        # set once its roots are built, against the table bit for bit;
+        # every j includes 0, n/4, n/2 and 3n/4
+        off = []
+        for n in list(range(1, 65)) + [4095, 4096]:
+            rs = fresh(solve_unity, n, precision)
+            held = [pair_bits(unity_pair(rs, j), precision) for j in range(n)]
+            table = [bits(z) for z in unity_powers(rs)]
+            read = [pair_bits(unity_pair(rs, j), precision) for j in range(n)]
+            if not held == read == table:
+                off.append(n)
+        assert not off
+
+    def test_index_is_taken_mod_n(self):
+        rs = fresh(solve_unity, 12)
+        for j in (-13, -1, 12, 25):
+            assert unity_pair(rs, j) == unity_pair(rs, j % 12)
+
+    def test_held_set_builds_its_roots_once_on_read(self, monkeypatch):
+        calls = []
+        layout = solver._unity_roots
+        monkeypatch.setattr(solver, "_unity_roots",
+                            lambda *args: calls.append(args) or layout(*args))
+        rs = fresh(solve_unity, 12)
+        unity_pair(rs, 5)
+        assert not calls
+        assert rs.roots is rs.roots and len(calls) == 1
+
+    def test_rejects_truncated_and_non_unity_sets(self):
+        rs = solve_unity(12)
+        with pytest.raises(InvalidN):
+            unity_pair(replace(rs, roots=rs.roots[:5]), 1)
+        with pytest.raises(InvalidN):
+            unity_pair(solve_binomial(HPComplex.from_int(2), 3), 1)
 
 
 class TestDirectUnity:

@@ -21,10 +21,12 @@ its tolerance.  `errors-and-text` runs every command once with
 `--format text`, then the error paths: invalid n (once more as text), m
 and precision, `roots-of` targets that are zero, malformed or out of
 range, `dft` inputs whose length disagrees with their `n` or with `--n`,
-malformed JSON and a missing file, and the two exit-2 paths at n = 8192,
-precision 32 (a `CertificateFailure` from `zeta --certificate`, a failed
-`verify`).  No output in it names a temporary path.  With `--dump` it also
-writes each command's output to a JSON file.
+malformed JSON and a missing file, and `zeta --certificate` and `verify`
+at n = 8192, precision 32, which exited 2 (a `CertificateFailure`, a
+failed `verify`) until the arc exclusion's signed radial term.  No output
+in it names a temporary path.  With `--dump` it also writes each command's
+output to a JSON file.  `run_groups` and `sha256` give the same digests to
+a caller in the same process, as the test suite's byte-identity check.
 
 `--compare` reads two dumps and prints, for each group, the number of
 commands whose output changed and the largest change of the numbers under
@@ -146,20 +148,31 @@ def _groups(tmp: str) -> dict:
     }
 
 
-def digest(dump_path: str | None) -> None:
-    dump = {}
+def run_groups(names=None):
+    """Yield (name, [(label, output)]) for every group, or for the groups
+    in `names`, in order: each command's label (its argv, with the dft
+    inputs, which live in a temporary directory, by file name) and its
+    exit code and standard output."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, commands in _groups(tmp).items():
-            sha = hashlib.sha256()
-            outputs = []
-            for argv in commands:
-                out = _output(argv)
-                sha.update(out.encode())
-                # the dft inputs live in a temporary directory
-                label = " ".join(os.path.basename(a) for a in argv)
-                outputs.append({"command": label, "output": out})
-            dump[name] = outputs
-            print(name, len(commands), sha.hexdigest(), flush=True)
+            if names is None or name in names:
+                yield name, [(" ".join(os.path.basename(a) for a in argv),
+                              _output(argv)) for argv in commands]
+
+
+def sha256(outputs: list) -> str:
+    """The SHA-256 over the outputs of one group, in order."""
+    sha = hashlib.sha256()
+    for _, out in outputs:
+        sha.update(out.encode())
+    return sha.hexdigest()
+
+
+def digest(dump_path: str | None) -> None:
+    dump = {}
+    for name, outputs in run_groups():
+        dump[name] = [{"command": label, "output": out} for label, out in outputs]
+        print(name, len(outputs), sha256(outputs), flush=True)
     if dump_path:
         with open(dump_path, "w", encoding="utf-8") as handle:
             json.dump(dump, handle, indent=0)
